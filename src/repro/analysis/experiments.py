@@ -135,16 +135,6 @@ EXPERIMENTS: dict[str, Experiment] = {
             "benchmarks/bench_fault_recovery.py",
             ("repro.sim.parallel", "repro.sim.faults")),
         Experiment(
-            "result_store", "Content-addressed result store & warm starts",
-            "Beyond the paper: the persistent evaluation store "
-            "(REPRO_CACHE) replays exact hits bitwise without touching "
-            "the engine and seeds Newton from the nearest stored "
-            "operating point on misses; this bench measures the "
-            "warm-replay throughput multiple and the iteration savings "
-            "of store-warm seeds over canonical cold starts",
-            "benchmarks/bench_result_store.py",
-            ("repro.sim.store", "repro.sim.dc", "repro.topologies.base")),
-        Experiment(
             "sparse_engine", "Sparse vs dense engine on large netlists",
             "Beyond the paper: the OTA repeater chain scenario family "
             "(>=200 MNA unknowns) runs >=3x faster on the SuperLU "

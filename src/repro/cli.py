@@ -352,11 +352,7 @@ def cmd_experiments(_args: argparse.Namespace) -> int:
 #: Runtime knobs surfaced by ``repro knobs`` (reference: docs/knobs.md).
 KNOBS = [
     ("REPRO_ENGINE", "auto|dense|sparse|iterative", "auto",
-     "linear-algebra backend (auto: size-thresholded, see below)"),
-    ("REPRO_SPARSE_THRESHOLD", "int >= 1", "128",
-     "auto engine: unknown count where dense hands over to sparse"),
-    ("REPRO_ITERATIVE_THRESHOLD", "int >= 1", "4096",
-     "auto engine: unknown count where sparse hands over to iterative"),
+     "linear-algebra backend (auto: picked by MNA unknown count)"),
     ("REPRO_SHARDS", "int >= 1", "1",
      "multicore shard-pool workers for batched evaluation"),
     ("REPRO_TIMEOUT", "seconds >= 0", "0",
@@ -367,14 +363,8 @@ KNOBS = [
      "base exponential backoff between shard retry attempts"),
     ("REPRO_FAULTS", "profile", "",
      "deterministic fault injection (kill/exc/hang/delay/poison)"),
-    ("REPRO_CACHE", "off|mem|disk", "off",
-     "persistent result store + Newton warm-start cache"),
-    ("REPRO_CACHE_DIR", "path", ".repro-cache",
-     "disk-tier location of the REPRO_CACHE=disk store"),
     ("REPRO_ZOO_DIR", "dir[:dir...]", "",
      "user scenario-zoo directories (repro zoo; YAML/JSON declarations)"),
-    ("REPRO_MODAL_AC", "1|0", "1",
-     "modal pole-residue AC fast path (0 forces direct solves)"),
     ("AUTOCKT_FULL", "0|1", "0",
      "paper-scale benchmark configurations"),
 ]

@@ -53,10 +53,9 @@ from repro.pex.corners import CornerSpec, signoff_corners
 from repro.pex.layout import PseudoLayout, generate_layout
 from repro.pex.lvs import lvs_compare
 from repro.sim.batch import SystemStack, solve_dc_batch
-from repro.sim.cache import SimulationCache, SimulationCounter, sizing_key
+from repro.sim.cache import SimulationCache, SimulationCounter
 from repro.sim.dc import OperatingPoint, solve_dc
 from repro.sim.stamp import StampPlan
-from repro.sim.store import SCHEMA_VERSION, get_store, scope_digest
 from repro.topologies.base import CircuitSimulator, Topology
 from repro.units import MICRO
 
@@ -222,31 +221,6 @@ class PexSimulator(CircuitSimulator):
         self._cache = SimulationCache(50_000) if cache else None
         self._warm: dict[int, np.ndarray] = {}
         self._corner_ref: dict[int, np.ndarray | None] = {}
-        self._scope: str | None = None
-        self._warm_slices: list[int] = []
-        self._last_warm_rows: list[int] = []
-
-    # -- persistent store -----------------------------------------------------
-    def _store_scope(self) -> str:
-        """Content digest namespacing this signoff configuration in the
-        persistent store: schema version, topology identity, extraction
-        rules, the full corner list, parameter grids, spec names, the
-        extracted netlist's structure signature and the resolved engine
-        backend.  Worst-case-reduced spec rows live under this scope;
-        per-corner operating points under :meth:`_corner_scope`."""
-        if self._scope is None:
-            t = self._topologies[0]
-            center = self.parameter_space.values(self.parameter_space.center)
-            system = self._plans[0].restamp(center)
-            self._scope = scope_digest((
-                SCHEMA_VERSION, "pex", type(t).__name__, t.name,
-                repr(t.technology), repr(self.extractor.rules),
-                repr(tuple(self.corners)),
-                repr(self.parameter_space.params),
-                ",".join(self.spec_space.names),
-                system.engine,
-                repr(system.netlist.structure_signature())))
-        return self._scope
 
     def _krylov_systems(self) -> list:
         """Every corner plan's cached system (iterative solve counters
@@ -254,55 +228,13 @@ class PexSimulator(CircuitSimulator):
         return [plan.system for plan in self._plans
                 if plan.system is not None]
 
-    def _corner_scope(self, k: int) -> str:
-        """Warm-start namespace of corner ``k`` (operating points of
-        different corners must never seed each other)."""
-        return f"{self._store_scope()}:corner={k}"
-
-    def _consume_warm_rows(self) -> list[int]:
-        """Designs of the last fresh batch with any store-seeded corner
-        slice (cleared on read)."""
-        rows = self._last_warm_rows
-        self._last_warm_rows = []
-        return rows
-
     def reset_warm_start(self) -> None:
         """Drop the per-trajectory (per-corner) warm-start state; the
-        canonical corner references and the content-addressed store
-        seeds survive — they carry no trajectory history."""
+        canonical corner references survive — they carry no trajectory
+        history."""
         self._warm.clear()
 
     # -- evaluation -----------------------------------------------------------
-    def evaluate(self, indices: np.ndarray) -> dict[str, float]:
-        """Worst-case specs of one sizing across all corners (memoised
-        when caching is on, replayed from the persistent ``REPRO_CACHE``
-        store when any run of this signoff configuration has evaluated
-        the sizing before)."""
-        indices = self.parameter_space.clip(indices)
-        key = sizing_key(indices)
-        if self._cache is not None and key in self._cache:
-            self.counter.cached += 1
-            return dict(self._cache.get_or_compute(key, dict))
-        store = get_store()
-        if store is not None:
-            row = store.get_result(self._store_scope(), key)
-            if row is not None:
-                self.counter.cached += 1
-                spec = self._row_to_spec(row)
-                if self._cache is not None:
-                    self._cache.get_or_compute(key, lambda: dict(spec))
-                return dict(spec)
-        self.counter.fresh += 1
-        result = self._evaluate_fresh(indices)
-        if self._consume_warm_rows():
-            self.counter.warm_started += 1
-        if store is not None:
-            store.put_result(self._store_scope(), key,
-                             self._spec_to_row(result))
-        if self._cache is not None:
-            result = self._cache.get_or_compute(key, lambda: result)
-        return dict(result)
-
     def evaluate_batch(self, indices_2d: np.ndarray) -> list[dict[str, float]]:
         """Evaluate B sizings across all corners in one stacked solve,
         sharded across worker processes when ``REPRO_SHARDS`` asks for
@@ -330,6 +262,8 @@ class PexSimulator(CircuitSimulator):
         return _PexShardFactory(factory, list(self.corners), self._rules)
 
     def _evaluate_fresh(self, indices: np.ndarray) -> dict[str, float]:
+        """Worst-case specs of one clipped sizing across all corners (a
+        corner stack of one design)."""
         values = self.parameter_space.values(indices)
         return self._evaluate_fresh_batch([values])[0]
 
@@ -350,29 +284,16 @@ class PexSimulator(CircuitSimulator):
         for k, plan in enumerate(self._plans):
             stack = plan.stack(values_list, into=stack, offset=k * B,
                                n_slices=B * K, n_corners=K)
-        result = solve_dc_batch(
-            stack, x0=self._corner_warm_start(stack, B, values_list))
-        if self._warm_slices and not result.converged.all():
-            self._warm_slice_fallback(values_list, result, B)
-        self._record_corner_seeds(values_list, result, B)
+        result = solve_dc_batch(stack, x0=self._corner_warm_start(stack, B))
         specs = self._topologies[0].measure_batch(stack, result)
         if specs is None:
             specs = self._measure_slices(values_list, result)
         return self._reduce_worst_case(specs, B, K)
 
-    def _corner_warm_start(self, stack: SystemStack, B: int,
-                           values_list: list[dict[str, float]] | None = None
-                           ) -> np.ndarray | None:
+    def _corner_warm_start(self, stack: SystemStack, B: int) -> np.ndarray:
         """Stacked Newton seed: each corner's canonical centre operating
         point (solved cold once, cached), tiled over that corner's block.
-        Falls back to cold zeros for corners whose centre fails.
-
-        When ``values_list`` is given and the persistent store is wired
-        in, each (design, corner) slice's seed is upgraded to the
-        nearest previously-converged operating point recorded under that
-        corner's scope; the upgraded slices are kept in
-        ``_warm_slices`` for the convergence fallback, and the affected
-        designs published through :meth:`_consume_warm_rows`."""
+        Falls back to cold zeros for corners whose centre fails."""
         seeds = np.zeros((stack.n_designs, stack.size))
         center = self.parameter_space.values(self.parameter_space.center)
         for k, plan in enumerate(self._plans):
@@ -389,64 +310,7 @@ class PexSimulator(CircuitSimulator):
             ref = self._corner_ref[k]
             if ref is not None:
                 seeds[k * B:(k + 1) * B] = ref
-        self._warm_slices = []
-        self._last_warm_rows = []
-        store = get_store()
-        if values_list is None or store is None:
-            return seeds
-        warm_designs: set[int] = set()
-        keys = [sizing_key(self.parameter_space.indices_of(values))
-                for values in values_list]
-        for k in range(len(self._plans)):
-            scope = self._corner_scope(k)
-            for i, key in enumerate(keys):
-                near = store.nearest_seed(scope, key, stack.size)
-                if near is None:
-                    continue
-                s = k * B + i
-                seeds[s] = near[0]
-                self._warm_slices.append(s)
-                warm_designs.add(i)
-        self._last_warm_rows = sorted(warm_designs)
         return seeds
-
-    def _warm_slice_fallback(self, values_list, result, B: int) -> None:
-        """Re-solve failed store-seeded slices from the canonical seed.
-
-        Mirrors :meth:`repro.topologies.base.Topology._warm_fallback`
-        corner-wise: a slice the canonical batch would have converged
-        must not fail just because its store seed was a poor guess."""
-        for s in self._warm_slices:
-            if result.converged[s]:
-                continue
-            k, i = divmod(s, B)
-            system = self._plans[k].restamp(values_list[i])
-            ref = self._corner_ref.get(k)
-            seed = ref if (ref is not None
-                           and ref.shape == (system.size,)) else None
-            try:
-                op = solve_dc(system, x0=seed)
-            except ConvergenceError:
-                continue
-            result.x[s] = op.x
-            result.converged[s] = True
-            result.iterations[s] = op.iterations
-            result.residual_norm[s] = op.residual_norm
-
-    def _record_corner_seeds(self, values_list, result, B: int) -> None:
-        """Record every converged slice's operating point under its
-        corner's warm-start scope."""
-        store = get_store()
-        if store is None:
-            return
-        keys = [sizing_key(self.parameter_space.indices_of(values))
-                for values in values_list]
-        for k in range(len(self._plans)):
-            scope = self._corner_scope(k)
-            for i, key in enumerate(keys):
-                s = k * B + i
-                if result.converged[s]:
-                    store.record_seed(scope, key, result.x[s])
 
     def _measure_slices(self, values_list, result) -> list[dict[str, float]]:
         """Scalar per-slice measurement fallback (topologies without a

@@ -25,7 +25,7 @@ batched solves):
   ``multiprocessing.shared_memory``;
 * :mod:`repro.sim.engine` selects the linear-algebra backend per system
   (``REPRO_ENGINE=auto|dense|sparse|iterative``, double-thresholded in
-  ``auto`` via ``REPRO_SPARSE_THRESHOLD``/``REPRO_ITERATIVE_THRESHOLD``);
+  ``auto`` by unknown count);
 * :mod:`repro.sim.sparse` is the SuperLU backend for large netlists:
   one structure-cached CSC master pattern per system, in-place ``.data``
   refresh per sizing, cached ``splu`` factorisations for DC Newton, AC
@@ -53,7 +53,6 @@ from repro.sim.engine import (
     iterative_threshold,
     resolve_engine,
     sparse_threshold,
-    use_sparse,
 )
 from repro.sim.linear import linear_step_response
 from repro.sim.noise import NoiseResult, noise_analysis
@@ -80,7 +79,6 @@ __all__ = [
     "iterative_threshold",
     "resolve_engine",
     "sparse_threshold",
-    "use_sparse",
     "NoiseResult",
     "OperatingPoint",
     "PoleSet",

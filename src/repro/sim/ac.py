@@ -30,7 +30,6 @@ adjoint and the gain referral of the same measurement reuse the factors
 from __future__ import annotations
 
 import dataclasses
-import os
 
 import numpy as np
 
@@ -38,9 +37,9 @@ from repro.errors import AnalysisError
 from repro.sim.dc import OperatingPoint
 from repro.sim.system import MnaSystem
 
-#: Escape hatch: set REPRO_MODAL_AC=0 to force the direct per-frequency
-#: solver everywhere (debugging / conditioning studies).
-_MODAL_ENABLED = os.environ.get("REPRO_MODAL_AC", "1") != "0"
+#: Modal fast path switch; tests patch it to False to force the direct
+#: per-frequency reference solver everywhere.
+_MODAL_ENABLED = True
 
 #: Relative residual above which a modal solution is rejected.
 _MODAL_RTOL = 1e-7
@@ -408,9 +407,7 @@ def _sparse_sweep_solutions(system: MnaSystem, op: OperatingPoint,
                             frequencies: np.ndarray) -> np.ndarray:
     """``(F, n)`` sweep solutions through the sparse engine's cached
     per-frequency ``splu`` factors."""
-    from repro.sim.sparse import sweep_solve
-    lus = system.sparse_sweep_lus(op, frequencies)
-    return sweep_solve(lus, system.b_ac)
+    return system.sparse_sweep_lus(op, frequencies).solve(system.b_ac)
 
 
 def transfer_function(system: MnaSystem, op: OperatingPoint,

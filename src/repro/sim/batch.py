@@ -251,10 +251,11 @@ def _newton_batch(stack: SystemStack, X: np.ndarray, idx: np.ndarray,
     Like the scalar driver, designs that pass the residual gate stay in
     the batch for up to ``_POLISH_ITERS`` extra polish rounds (skipped
     once their step is below ``_POLISH_STAG``), which pins each endpoint
-    to the root at machine precision: warm-started and cold solves of
-    the same design agree to <= 1e-9 in the measured specs — the
-    :mod:`repro.sim.store` cold-equivalence contract.  A polish round
-    can only tighten an already-converged design, never un-converge it.
+    to the root at machine precision: solves of the same design seeded
+    from the sizing trajectory, from the canonical grid-centre operating
+    point and from zeros agree to <= 1e-9 in the measured specs.  A
+    polish round can only tighten an already-converged design, never
+    un-converge it.
     """
     tpl = stack.template
     n, n1 = stack.size, stack.size + 1

@@ -26,29 +26,19 @@ def sizing_key(indices) -> tuple[int, ...]:
     """Canonical quantized key of one sizing (a tuple of grid indices).
 
     The *single* quantization helper shared by every key consumer: the
-    per-simulator memo (``ParameterSpace.as_key`` delegates here), the
-    batch front-end's dedupe keys and the content digests of the
-    persistent evaluation store (:mod:`repro.sim.store`).  One helper
-    means a memo key, a dedupe key and a store digest can never drift
-    apart for the same sizing.
+    per-simulator memo (``ParameterSpace.as_key`` delegates here) and
+    the batch front-end's dedupe keys.  One helper means a memo key and
+    a dedupe key can never drift apart for the same sizing.
     """
     return tuple(int(i) for i in np.asarray(indices, dtype=np.int64).ravel())
 
 
 class SimulationCounter:
-    """Counts simulator invocations, separating fresh solves from cache hits.
-
-    ``warm_started`` sub-counts the fresh solves that were seeded from
-    the persistent warm-start store (:mod:`repro.sim.store`) rather
-    than the canonical grid-centre operating point — still charged as
-    ``fresh`` (a Newton solve ran), but attributable, so benchmarks can
-    tell cache throughput from solver speedups.
-    """
+    """Counts simulator invocations, separating fresh solves from cache hits."""
 
     def __init__(self):
         self.fresh = 0
         self.cached = 0
-        self.warm_started = 0
 
     @property
     def total(self) -> int:
@@ -58,16 +48,15 @@ class SimulationCounter:
         """Zero the counters."""
         self.fresh = 0
         self.cached = 0
-        self.warm_started = 0
 
     def snapshot(self) -> dict[str, int]:
         """Current counts as a plain dict."""
         return {"fresh": self.fresh, "cached": self.cached,
-                "warm_started": self.warm_started, "total": self.total}
+                "total": self.total}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"SimulationCounter(fresh={self.fresh}, "
-                f"cached={self.cached}, warm_started={self.warm_started})")
+                f"cached={self.cached})")
 
 
 class SimulationCache:
@@ -112,7 +101,7 @@ class SimulationCache:
         return value
 
     def clear(self) -> None:
-        """Drop every cached entry (the hit/miss counters are kept)."""
+        """Drop every cached entry and zero the hit/miss counters."""
         self._data.clear()
         self.hits = 0
         self.misses = 0

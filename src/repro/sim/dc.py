@@ -176,10 +176,10 @@ def _newton(system: MnaSystem, x0: np.ndarray, gmin: float, source_scale: float,
     extra Newton steps (skipped once the step is below
     :data:`_POLISH_STAG`).  Polish pins the endpoint to the root at
     machine precision, which makes the solved operating point a function
-    of the circuit alone — two solves from different seeds (canonical,
-    trajectory or a :mod:`repro.sim.store` warm start) return the same
-    specs to <= 1e-9, the store's cold-equivalence contract.  Polish can
-    only tighten an already-converged iterate; it never un-converges one.
+    of the circuit alone: solves seeded from the sizing trajectory, from
+    the canonical grid-centre operating point and from zeros return the
+    same specs to <= 1e-9.  Polish can only tighten an already-converged
+    iterate; it never un-converges one.
     """
     x = x0.copy()
     polish = -1          # -1: still converging; >= 0: polish steps left

@@ -25,9 +25,7 @@ so tests can monkeypatch it per-case):
   unknowns, sparse direct between the two thresholds, iterative at or
   above :data:`ITERATIVE_AUTO_THRESHOLD`.  Both thresholds sit at
   empirically-measured crossovers (``benchmarks/bench_sparse_engine.py``
-  and ``benchmarks/bench_krylov_engine.py``) and are env-tunable via
-  ``REPRO_SPARSE_THRESHOLD`` / ``REPRO_ITERATIVE_THRESHOLD`` for
-  machines whose crossover sits elsewhere.
+  and ``benchmarks/bench_krylov_engine.py``).
 * ``dense`` — force dense everywhere (the pre-PR-3 behaviour).
 * ``sparse`` — force sparse direct everywhere, including the small
   circuits.  Slower there (SuperLU's per-call overhead dwarfs a 15x15
@@ -43,7 +41,7 @@ Callers that need a specific backend regardless of the environment pass
 
 from __future__ import annotations
 
-import os
+from repro.knobs import env_knob, one_of
 
 #: ``auto`` switches from dense to the sparse backend at this many MNA
 #: unknowns.  Set from the crossover measured in
@@ -67,54 +65,31 @@ SPARSE_AUTO_THRESHOLD = 128
 #: path clearly wins stays on it.
 ITERATIVE_AUTO_THRESHOLD = 4096
 
-#: Environment variables overriding the ``auto`` thresholds at runtime.
-SPARSE_THRESHOLD_ENV = "REPRO_SPARSE_THRESHOLD"
-ITERATIVE_THRESHOLD_ENV = "REPRO_ITERATIVE_THRESHOLD"
-
 _MODES = ("auto", "dense", "sparse", "iterative")
 _EXPLICIT = ("dense", "sparse", "iterative")
 
 
-def _env_threshold(env: str, default: int) -> int:
-    """An ``auto`` threshold from the environment (forgiving parse).
-
-    Malformed or negative values fall back to ``default`` rather than
-    raising — a tuning knob must never turn a working simulation into a
-    crash (the same contract as :func:`engine_mode`).
-    """
-    raw = os.environ.get(env, "").strip()
-    if not raw:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        return default
-    return value if value >= 0 else default
-
-
 def sparse_threshold() -> int:
     """Unknown count at which ``auto`` leaves the dense backend
-    (``REPRO_SPARSE_THRESHOLD``, default
-    :data:`SPARSE_AUTO_THRESHOLD`)."""
-    return _env_threshold(SPARSE_THRESHOLD_ENV, SPARSE_AUTO_THRESHOLD)
+    (:data:`SPARSE_AUTO_THRESHOLD`)."""
+    return SPARSE_AUTO_THRESHOLD
 
 
 def iterative_threshold() -> int:
     """Unknown count at which ``auto`` switches from sparse direct to
-    the Krylov leg (``REPRO_ITERATIVE_THRESHOLD``, default
-    :data:`ITERATIVE_AUTO_THRESHOLD`)."""
-    return _env_threshold(ITERATIVE_THRESHOLD_ENV, ITERATIVE_AUTO_THRESHOLD)
+    the Krylov leg (:data:`ITERATIVE_AUTO_THRESHOLD`)."""
+    return ITERATIVE_AUTO_THRESHOLD
 
 
 def engine_mode() -> str:
     """The configured engine mode (``auto``/``dense``/``sparse``/
     ``iterative``).
 
-    Unknown values fall back to ``auto`` rather than raising: an engine
-    knob must never turn a working simulation into a crash.
+    Unknown values fall back to ``auto`` with a warning rather than
+    raising: an engine knob must never turn a working simulation into a
+    crash.
     """
-    mode = os.environ.get("REPRO_ENGINE", "auto").strip().lower()
-    return mode if mode in _MODES else "auto"
+    return env_knob("REPRO_ENGINE", one_of(*_MODES), "auto")
 
 
 def resolve_engine(size: int, engine: str | None = None) -> str:
@@ -126,8 +101,8 @@ def resolve_engine(size: int, engine: str | None = None) -> str:
     knob, a bad *explicit* override is a programming error and raises —
     a typo must not silently hand a backend-pinned test the wrong
     engine.  ``auto`` applies both thresholds: dense below
-    :func:`sparse_threshold`, iterative at or above
-    :func:`iterative_threshold`, sparse direct in between.
+    :data:`SPARSE_AUTO_THRESHOLD`, iterative at or above
+    :data:`ITERATIVE_AUTO_THRESHOLD`, sparse direct in between.
     """
     if engine not in (None, *_MODES):
         raise ValueError(
@@ -135,18 +110,9 @@ def resolve_engine(size: int, engine: str | None = None) -> str:
     mode = engine if engine in _EXPLICIT else engine_mode()
     if mode in _EXPLICIT:
         return mode
-    if size >= iterative_threshold():
+    if size >= ITERATIVE_AUTO_THRESHOLD:
         return "iterative"
-    if size >= sparse_threshold():
+    if size >= SPARSE_AUTO_THRESHOLD:
         return "sparse"
     return "dense"
 
-
-def use_sparse(size: int, engine: str | None = None) -> bool:
-    """Whether a system of ``size`` unknowns assembles on the CSC master
-    pattern (True for both the sparse-direct and iterative legs).
-
-    Kept as the historical boolean entry point; callers that need the
-    three-way decision use :func:`resolve_engine`.
-    """
-    return resolve_engine(size, engine) != "dense"

@@ -50,6 +50,7 @@ import time
 import numpy as np
 
 from repro.errors import PoisonDesignFault, SolveFault, TrainingError
+from repro.knobs import at_least, env_knob
 
 #: Environment variable holding the fault-injection profile (default none).
 FAULTS_ENV = "REPRO_FAULTS"
@@ -65,15 +66,6 @@ BACKOFF_ENV = "REPRO_RETRY_BACKOFF"
 
 #: Event directive kinds (one-shot, per original worker incarnation).
 _EVENT_KINDS = ("kill", "exc", "hang", "delay")
-
-#: Per-row result provenance codes (``BatchReport.provenance``): a cold
-#: Newton solve from the canonical seed, a solve seeded from the
-#: persistent warm-start store, an exact hit replayed from the
-#: persistent result store, and a per-simulator memo hit.
-PROV_COLD = 0
-PROV_WARM = 1
-PROV_HIT = 2
-PROV_MEMO = 3
 
 
 @dataclasses.dataclass(frozen=True)
@@ -110,21 +102,15 @@ class SupervisorConfig:
     @classmethod
     def from_env(cls) -> "SupervisorConfig":
         """Policy from ``REPRO_TIMEOUT``/``REPRO_RETRIES``/
-        ``REPRO_RETRY_BACKOFF`` (malformed values fall back to defaults).
+        ``REPRO_RETRY_BACKOFF`` (malformed or negative values warn and
+        fall back to the defaults).
         """
-        def _read(env: str, default: float, cast) -> float:
-            raw = os.environ.get(env, "").strip()
-            if not raw:
-                return default
-            try:
-                value = cast(raw)
-            except ValueError:
-                return default
-            return value if value >= 0 else default
-
-        return cls(timeout=_read(TIMEOUT_ENV, cls.timeout, float),
-                   retries=int(_read(RETRIES_ENV, cls.retries, int)),
-                   backoff=_read(BACKOFF_ENV, cls.backoff, float))
+        return cls(timeout=env_knob(TIMEOUT_ENV, at_least(float, 0),
+                                    cls.timeout),
+                   retries=env_knob(RETRIES_ENV, at_least(int, 0),
+                                    cls.retries),
+                   backoff=env_knob(BACKOFF_ENV, at_least(float, 0),
+                                    cls.backoff))
 
     def backoff_delay(self, attempt: int) -> float:
         """Seconds of exponential backoff before retry ``attempt``
@@ -135,15 +121,6 @@ class SupervisorConfig:
         if self.backoff > 0 and attempt >= 1:
             return self.backoff * (2.0 ** (attempt - 1))
         return 0.0
-
-    def sleep_before(self, attempt: int) -> None:
-        """Exponential backoff before retry ``attempt`` (1-based).
-
-        The blocking convenience for single-threaded callers; the shard
-        supervisor uses the non-blocking :meth:`backoff_delay` form."""
-        delay = self.backoff_delay(attempt)
-        if delay > 0:
-            time.sleep(delay)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -313,12 +290,9 @@ class BatchReport:
 
     Arrays are indexed by design row: ``attempts`` counts solve
     attempts that touched the row (1 = clean first try), ``latency``
-    is seconds from submit to the row's final result, ``quarantined``
-    marks rows charged pessimistic failure measurements, and
-    ``provenance`` records how each row's result was obtained
-    (:data:`PROV_COLD` / :data:`PROV_WARM` / :data:`PROV_HIT` /
-    :data:`PROV_MEMO` — cold solve, store-warm-started solve, exact
-    store hit, memo hit).  ``faults`` lists every supervision event in
+    is seconds from submit to the row's final result, and
+    ``quarantined`` marks rows charged pessimistic failure
+    measurements.  ``faults`` lists every supervision event in
     occurrence order; ``respawns`` and ``retries`` count worker
     replacements and re-dispatches.
 
@@ -339,7 +313,6 @@ class BatchReport:
     attempts: np.ndarray = None
     latency: np.ndarray = None
     quarantined: np.ndarray = None
-    provenance: np.ndarray = None
     krylov_solves: int = 0
     krylov_iterations: int = 0
     krylov_fallbacks: int = 0
@@ -353,8 +326,6 @@ class BatchReport:
             self.latency = np.zeros(self.n_designs, dtype=np.float64)
         if self.quarantined is None:
             self.quarantined = np.zeros(self.n_designs, dtype=bool)
-        if self.provenance is None:
-            self.provenance = np.zeros(self.n_designs, dtype=np.int8)
 
     @property
     def clean(self) -> bool:
@@ -387,7 +358,6 @@ class BatchReport:
                 out.attempts[r] = self.attempts[i]
                 out.latency[r] = self.latency[i]
                 out.quarantined[r] = self.quarantined[i]
-                out.provenance[r] = self.provenance[i]
         for fault in self.faults:
             rows = tuple(sorted(r for i in fault.rows
                                 for r in row_map.get(i, ())))

@@ -17,10 +17,9 @@ with preconditioned Krylov iteration:
   cache deliberately survives restamps — reuse the same ILU; each step
   then costs a handful of matvecs instead of a fresh factorisation.
   Every solve warm-starts from the current Newton iterate, so the
-  result-store seeds that already cut Newton step counts
-  (``REPRO_CACHE``) cut Krylov iterations the same way: a near-converged
-  seed makes ``x0`` almost the solution and GMRES needs one or two
-  restart-free sweeps.
+  trajectory seeds that already cut Newton step counts cut Krylov
+  iterations the same way: a near-converged seed makes ``x0`` almost
+  the solution and GMRES needs one or two restart-free sweeps.
 * **AC sweeps and the noise adjoint** — :class:`KrylovSweep` mirrors the
   ``solve(b, adjoint=)`` contract of
   :class:`~repro.sim.sparse.SweepFactorization`: the shifted operators
@@ -445,8 +444,8 @@ class KrylovState:
     solver-level differences and polish pins the same root); wandering
     solves run direct ``splu``, which makes them *bitwise* the sparse
     leg's and guarantees identical ladder decisions.  Warm-started
-    evaluations — a sizing loop's deltas, ``REPRO_CACHE`` seeds — start
-    inside the endgame, which is exactly where the iterative win lives.
+    evaluations — a sizing loop's one-step deltas — start inside the
+    endgame, which is exactly where the iterative win lives.
     """
 
     def __init__(self, state: SparseState, stats: KrylovStats | None = None):

@@ -184,9 +184,8 @@ def noise_analysis(system: MnaSystem, op: OperatingPoint,
     e_out = np.zeros(system.size)
     e_out[out_idx] = 1.0
     if getattr(system, "sparse", False):
-        from repro.sim.sparse import sweep_solve
         lus = system.sparse_sweep_lus(op, frequencies)
-        y = np.conjugate(sweep_solve(lus, e_out, adjoint=True))
+        y = np.conjugate(lus.solve(e_out, adjoint=True))
     else:
         G, C = system.small_signal_matrices(op)
         y = np.conjugate(ac_solutions(np.ascontiguousarray(G.T),

@@ -16,12 +16,7 @@ consults it inside ``evaluate_batch``, so ``VectorEnv`` rollouts, the
 CEM/GA/random-search population loops and plain batched evaluation all
 scale across cores without code changes; results are bitwise identical
 to the in-process engine because every worker runs the same batched
-solve from the same canonical warm seeds.  With the persistent result
-store enabled (``REPRO_CACHE``, :mod:`repro.sim.store`) workers consult
-the shared store before solving: exact hits replay bitwise and are
-reported per row in the ``ok`` reply's provenance vector, store-warm
-Newton seeds keep results spec-equivalent (≤1e-9) rather than bitwise
-(same contract as the in-process store path).
+solve from the same canonical warm seeds.
 
 :meth:`ShardPool.evaluate_values` is the one entry point: one batch
 in, one spec array out, with exactly one batch in flight.  The pool
@@ -73,6 +68,7 @@ from multiprocessing import shared_memory
 import numpy as np
 
 from repro.errors import TrainingError
+from repro.knobs import at_least, env_knob
 from repro.sim.faults import (FAULTS_ENV, BatchReport, FaultInjector,
                               FaultRecord, SupervisorConfig, active_profile,
                               worker_directives)
@@ -86,13 +82,10 @@ SHARDS_ENV = "REPRO_SHARDS"
 _HANDSHAKE_TIMEOUT = 120.0
 
 
-def shard_count(default: int = 1) -> int:
-    """Worker count requested via ``REPRO_SHARDS`` (>= 1)."""
-    raw = os.environ.get(SHARDS_ENV, "")
-    try:
-        return max(int(raw), 1)
-    except ValueError:
-        return max(default, 1)
+def shard_count() -> int:
+    """Worker count requested via ``REPRO_SHARDS`` (>= 1; anything else
+    warns and runs in-process)."""
+    return env_knob(SHARDS_ENV, at_least(int, 1), 1)
 
 
 def resolve_context(name: str | None = None) -> str:
@@ -258,11 +251,9 @@ def _shard_worker(remote, worker_index, factory, param_names, spec_names,
     """Worker loop: one simulator replica, evaluates value-array shards.
 
     Each ``eval`` request is tagged with a parent-issued ``req_id`` that
-    is echoed in the ``("ok", (req_id, provenance))`` /
-    ``("error", (req_id, text))`` reply, so the supervisor can
-    sanity-check reply/job pairing across respawns; the provenance list
-    marks rows the worker replayed from the persistent store or
-    warm-started from it.  Fault injection (``directives``, parsed from the parent's
+    is echoed in the ``("ok", req_id)`` / ``("error", (req_id, text))``
+    reply, so the supervisor can sanity-check reply/job pairing across
+    respawns.  Fault injection (``directives``, parsed from the parent's
     ``REPRO_FAULTS`` profile) runs through a
     :class:`~repro.sim.faults.FaultInjector` before each solve; the
     worker's own environment copy of the profile is dropped so nested
@@ -293,16 +284,13 @@ def _shard_worker(remote, worker_index, factory, param_names, spec_names,
                         for row in vals[lo:hi]]
                     # The raw engine, not the recovering wrapper: faults
                     # escape to the parent supervisor, which owns retry,
-                    # bisection and quarantine policy.  The store-aware
-                    # entry replays exact persistent-store hits (rows
-                    # another process recorded since the parent's plan
-                    # ran) and reports per-row provenance in the reply.
-                    specs, prov = simulator._worker_batch(values_list)
+                    # bisection and quarantine policy.
+                    specs = simulator._inprocess_batch(values_list)
                     for r, spec in zip(range(lo, hi), specs):
                         out[r] = [spec[name] for name in spec_names]
                     if delay > 0:
                         time.sleep(delay)
-                    remote.send(("ok", (req_id, prov)))
+                    remote.send(("ok", req_id))
                 except Exception as exc:  # surface, don't kill the pool
                     remote.send(("error",
                                  (req_id, f"{type(exc).__name__}: {exc}")))
@@ -632,18 +620,8 @@ class ShardPool:
                         f"{worker}; pool closed")
         job = queue.popleft()
         self._promote(worker)
-        if cmd == "ok":
-            # Reply carries (req_id, per-row provenance) — a bare req_id
-            # is tolerated for protocol compatibility (no provenance).
-            req_id, prov = (payload if isinstance(payload, tuple)
-                            else (payload, None))
-            if req_id == job.req_id:
-                if prov is not None:
-                    self.last_report.provenance[job.lo:job.hi] = prov
-                self._resolve(job)
-                return
-            self._fatal(f"shard worker {worker} protocol corruption "
-                        f"(ok for req {req_id!r}); pool closed")
+        if cmd == "ok" and payload == job.req_id:
+            self._resolve(job)
         elif cmd == "error" and payload[0] == job.req_id:
             self._handle_solve_error(job, payload[1])
         else:

@@ -381,17 +381,6 @@ def stack_sweep_factors(stack, rows: np.ndarray, g3: np.ndarray,
     return facts
 
 
-def sweep_solve(fact: SweepFactorization, b: np.ndarray,
-                adjoint: bool = False) -> np.ndarray:
-    """Solve every factored frequency point against one RHS.
-
-    ``adjoint`` solves ``A^T x = b`` through the same factors (the noise
-    adjoint path; callers conjugate, since ``A^H = conj(A^T)`` for the
-    real-``G/C`` operators here).  Returns ``(F, n)`` complex.
-    """
-    return fact.solve(b, adjoint=adjoint)
-
-
 class SparseSlice:
     """Scalar Newton view of one slice of a sparse
     :class:`~repro.sim.batch.SystemStack`.

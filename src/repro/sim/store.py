@@ -1,513 +1,16 @@
-"""Content-addressed evaluation store and Newton warm-start cache.
+"""Leftover of the removed persistent result store.
 
-The paper's end-user promise is answering "size this spec" queries
-cheaply, and its headline metric is simulations-to-success.  At
-production traffic most sizing queries are near-duplicates: RL
-trajectories move one grid step at a time and the population baselines
-resample the same neighbourhoods.  The per-simulator LRU memo
-(:mod:`repro.sim.cache`) already exploits *exact* repeats within one
-process; this module promotes that idea into a store that survives
-across processes and runs, and adds a *near*-hit tier that turns the
-step-to-step delta structure of rollout traces into solver throughput.
-
-Two tiers, one content-addressed key space:
-
-* **Exact results** — measured spec rows keyed by a digest of
-  ``(store schema version, topology structure signature, corner,
-  technology, engine backend, quantized sizing vector)``.  A hit
-  returns the recorded float64 spec row bit for bit, without any
-  solve, and is charged to ``SimulationCounter.cached`` exactly like a
-  memo hit.
-* **Newton warm starts** — converged DC operating points keyed by the
-  same scope.  On an exact miss, the *nearest* stored sizing (L1
-  distance on the quantized grid) seeds the damped-Newton solve
-  instead of the canonical grid-centre operating point; callers fall
-  back to the canonical seed whenever a warm attempt fails, so results
-  stay spec-equivalent (<= 1e-9) to cold solves.
-
-Knobs
------
-``REPRO_CACHE`` selects the tier backing: ``off`` (default — nothing
-is ever stored, the historical behaviour bit for bit), ``mem``
-(process-wide in-memory store shared by every simulator in the
-process) or ``disk`` (SQLite file under ``REPRO_CACHE_DIR``, shared by
-concurrent processes and surviving across runs).  Malformed values
-fall back to ``off``.  The disk tier opens in WAL mode with a busy
-timeout so concurrent ShardPool workers read and write safely; a
-corrupted or truncated store file is detected, discarded and rebuilt
-instead of crashing, and a directory that cannot host the file
-degrades to the in-memory tier.  Both tiers are bounded: results are
-LRU-evicted beyond :data:`RESULT_CAPACITY` and warm seeds ring-buffer
-beyond :data:`WARM_CAPACITY` per scope.
-
-Consistency
------------
-The scope digest pins everything that could change a result: store
-schema version, topology class and netlist structure signature,
-corner/temperature/technology, spec names, parameter grids and the
-*resolved* engine backend — so a dense and a sparse run never exchange
-rows, and any code change that bumps :data:`SCHEMA_VERSION` starts
-from an empty namespace.  Exact hits are bitwise replays of the
-recorded solve; warm-started solves are spec-equivalent to cold
-solves, not bitwise (the Newton endpoint depends on the seed at
-solver tolerance).
+Every evaluation resolves through the per-simulator memo
+(:class:`repro.sim.cache.SimulationCache`) and then the engine; there is
+no persistent tier any more.  This module stays only because the
+benchmark harness (``perfbench/harness.py``) imports :func:`get_store`
+for its run-metadata record, and benchmark runs would fail without it.
+Nothing in the package imports it; delete it once that import is gone.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
-import os
-import pathlib
-import sqlite3
-import time
-from collections import OrderedDict
 
-import numpy as np
-
-#: Environment variable selecting the store backing (off | mem | disk).
-CACHE_ENV = "REPRO_CACHE"
-
-#: Environment variable: directory of the disk tier's SQLite file.
-CACHE_DIR_ENV = "REPRO_CACHE_DIR"
-
-#: Default disk-tier directory (relative to the working directory).
-DEFAULT_CACHE_DIR = ".repro-cache"
-
-#: Store format/namespace version: part of every scope digest and
-#: pinned in the SQLite file's meta table, so schema changes can never
-#: replay stale rows — they simply start a fresh namespace.
-SCHEMA_VERSION = 1
-
-#: LRU bound on stored exact-result rows (per store).
-RESULT_CAPACITY = 200_000
-
-#: Ring-buffer bound on warm-start seeds per scope.
-WARM_CAPACITY = 4096
-
-#: Disk eviction cadence: capacity is enforced every this many puts.
-_EVICT_EVERY = 256
-
-#: SQLite file name inside ``REPRO_CACHE_DIR``.
-_DB_NAME = "store.sqlite"
-
-
-def cache_mode() -> str:
-    """The store backing selected by ``REPRO_CACHE``.
-
-    Returns ``"off"``, ``"mem"`` or ``"disk"``; anything malformed
-    falls back to ``"off"`` (the reproducible baseline), mirroring how
-    ``REPRO_ENGINE`` treats typos in environment values.
-    """
-    raw = os.environ.get(CACHE_ENV, "").strip().lower()
-    return raw if raw in ("mem", "disk") else "off"
-
-
-def cache_dir() -> pathlib.Path:
-    """Directory of the disk tier (``REPRO_CACHE_DIR``, or a default)."""
-    raw = os.environ.get(CACHE_DIR_ENV, "").strip()
-    return pathlib.Path(raw) if raw else pathlib.Path(DEFAULT_CACHE_DIR)
-
-
-def scope_digest(parts) -> str:
-    """Content digest of a store scope (16 hex chars).
-
-    ``parts`` is an iterable of strings pinning everything that could
-    change a result — see the module docstring.  The digest is the
-    namespace under which exact rows and warm seeds are filed.
-    """
-    payload = "\x1f".join(str(p) for p in parts)
-    return hashlib.sha1(payload.encode()).hexdigest()[:16]
-
-
-def result_digest(scope: str, key: tuple) -> str:
-    """Digest addressing one exact result: scope plus quantized sizing."""
-    payload = scope + "|" + ",".join(str(int(k)) for k in key)
-    return hashlib.sha1(payload.encode()).hexdigest()
-
-
-@dataclasses.dataclass
-class StoreStats:
-    """Counters of one :class:`EvaluationStore` (diagnostics surface)."""
-
-    hits: int = 0
-    misses: int = 0
-    puts: int = 0
-    warm_hits: int = 0
-    warm_misses: int = 0
-    seeds: int = 0
-    rebuilds: int = 0
-    dropped_writes: int = 0
-
-    def snapshot(self) -> dict[str, int]:
-        """Current counters as a plain dict."""
-        return dataclasses.asdict(self)
-
-
-class _WarmIndex:
-    """In-process nearest-neighbour index of one scope's warm seeds.
-
-    Quantized sizing keys live in one ``(N, P)`` int64 matrix so the
-    nearest lookup is a single vectorised L1 scan; seeds beyond
-    :data:`WARM_CAPACITY` overwrite ring-buffer style, and recording an
-    already-present key replaces its seed in place (trajectories
-    revisit sizings constantly — duplicates would starve the ring).
-    """
-
-    def __init__(self, capacity: int):
-        self.capacity = capacity
-        self.keys: np.ndarray | None = None
-        self.xs: list[np.ndarray | None] = []
-        self.n = 0
-        self._cursor = 0
-        self._slots: dict[tuple, int] = {}
-
-    def record(self, key: tuple, x: np.ndarray) -> None:
-        """Insert (or replace) the seed for one quantized sizing."""
-        slot = self._slots.get(key)
-        if slot is not None:
-            self.xs[slot] = x
-            return
-        if self.keys is None:
-            self.keys = np.zeros((min(64, self.capacity), len(key)),
-                                 dtype=np.int64)
-        if self.n < self.capacity:
-            slot = self.n
-            if slot >= len(self.keys):
-                grown = np.zeros((min(len(self.keys) * 2, self.capacity),
-                                  self.keys.shape[1]), dtype=np.int64)
-                grown[:self.n] = self.keys[:self.n]
-                self.keys = grown
-            self.xs.append(x)
-            self.n += 1
-        else:           # ring overwrite: retire the oldest slot
-            slot = self._cursor
-            self._cursor = (self._cursor + 1) % self.capacity
-            old = tuple(int(k) for k in self.keys[slot])
-            self._slots.pop(old, None)
-            self.xs[slot] = x
-        self.keys[slot] = key
-        self._slots[key] = slot
-
-    def nearest(self, key: tuple, size: int) -> tuple[np.ndarray, int] | None:
-        """Seed of the closest stored sizing (L1 grid distance), or None.
-
-        ``size`` guards against stale seeds whose solution length no
-        longer matches the MNA system (cannot happen within one scope,
-        but a mismatched seed would poison the Newton iteration, so the
-        check is cheap insurance).
-        """
-        if self.n == 0:
-            return None
-        d = np.abs(self.keys[:self.n]
-                   - np.asarray(key, dtype=np.int64)).sum(axis=1)
-        for slot in np.argsort(d, kind="stable"):
-            x = self.xs[int(slot)]
-            if x is not None and x.shape == (size,):
-                return x, int(d[int(slot)])
-        return None
-
-
-class EvaluationStore:
-    """Two-tier content-addressed store: exact spec rows + warm seeds.
-
-    Parameters
-    ----------
-    mode:
-        ``"mem"`` (in-process only) or ``"disk"`` (SQLite under
-        ``directory``, shared across processes and runs).
-    directory:
-        Disk-tier directory; created on demand.  Ignored for ``mem``.
-    capacity / warm_capacity:
-        LRU bound on exact rows and per-scope ring bound on seeds.
-
-    The disk tier is a single SQLite file in WAL mode with a busy
-    timeout, safe under concurrent readers/writers (ShardPool workers,
-    parallel runs).  Every write is individually guarded: a locked or
-    failing write drops that entry (counted in
-    ``stats.dropped_writes``) instead of raising — losing a cache
-    write is always acceptable.  A corrupted/truncated file or a
-    schema-version mismatch is discarded and rebuilt on open.
-    """
-
-    def __init__(self, mode: str, directory: pathlib.Path | None = None,
-                 capacity: int = RESULT_CAPACITY,
-                 warm_capacity: int = WARM_CAPACITY):
-        if mode not in ("mem", "disk"):
-            raise ValueError(f"store mode must be mem|disk, got {mode!r}")
-        self.mode = mode
-        self.capacity = capacity
-        self.warm_capacity = warm_capacity
-        self.stats = StoreStats()
-        self._results: OrderedDict[str, bytes] = OrderedDict()
-        self._warm: dict[str, _WarmIndex] = {}
-        self._warm_loaded: set[str] = set()
-        self._conn: sqlite3.Connection | None = None
-        self._path: pathlib.Path | None = None
-        self._puts_since_evict = 0
-        if mode == "disk":
-            self._path = pathlib.Path(directory or cache_dir()) / _DB_NAME
-            self._conn = self._open()
-
-    # -- disk plumbing ------------------------------------------------------
-    def _open(self) -> sqlite3.Connection | None:
-        """Open (and if needed rebuild) the SQLite file.
-
-        A corrupted/truncated file or a meta schema mismatch is
-        unlinked and recreated once; if the second attempt also fails
-        (unwritable directory, filesystem trouble) the store degrades
-        to the in-memory tier rather than crashing the evaluation.
-        """
-        for attempt in range(2):
-            try:
-                self._path.parent.mkdir(parents=True, exist_ok=True)
-                conn = sqlite3.connect(str(self._path), timeout=5.0)
-                conn.execute("PRAGMA journal_mode=WAL")
-                conn.execute("PRAGMA synchronous=NORMAL")
-                conn.execute("PRAGMA busy_timeout=5000")
-                conn.execute(
-                    "CREATE TABLE IF NOT EXISTS meta "
-                    "(k TEXT PRIMARY KEY, v TEXT)")
-                row = conn.execute(
-                    "SELECT v FROM meta WHERE k='schema'").fetchone()
-                if row is not None and row[0] != str(SCHEMA_VERSION):
-                    raise sqlite3.DatabaseError(
-                        f"store schema {row[0]} != {SCHEMA_VERSION}")
-                conn.execute(
-                    "INSERT OR REPLACE INTO meta VALUES ('schema', ?)",
-                    (str(SCHEMA_VERSION),))
-                conn.execute(
-                    "CREATE TABLE IF NOT EXISTS results ("
-                    "digest TEXT PRIMARY KEY, specs BLOB NOT NULL, "
-                    "used REAL NOT NULL)")
-                conn.execute(
-                    "CREATE TABLE IF NOT EXISTS warm ("
-                    "digest TEXT PRIMARY KEY, scope TEXT NOT NULL, "
-                    "key BLOB NOT NULL, x BLOB NOT NULL, "
-                    "used REAL NOT NULL)")
-                conn.execute(
-                    "CREATE INDEX IF NOT EXISTS warm_scope ON warm(scope)")
-                conn.commit()
-                return conn
-            except sqlite3.Error:
-                if attempt == 0:
-                    self.stats.rebuilds += 1
-                    self._discard_file()
-                    continue
-                return None   # degrade to the in-memory tier
-        return None  # pragma: no cover - loop always returns
-
-    def _discard_file(self) -> None:
-        """Unlink a corrupted store file (plus its WAL sidecars)."""
-        for suffix in ("", "-wal", "-shm"):
-            try:
-                pathlib.Path(str(self._path) + suffix).unlink()
-            except OSError:
-                pass
-
-    def close(self) -> None:
-        """Release the SQLite connection (idempotent)."""
-        if self._conn is not None:
-            try:
-                self._conn.close()
-            except sqlite3.Error:  # pragma: no cover - teardown guard
-                pass
-            self._conn = None
-
-    # -- exact tier ---------------------------------------------------------
-    def get_result(self, scope: str, key: tuple) -> np.ndarray | None:
-        """Recorded spec row for an exact sizing, or None on miss.
-
-        Hits refresh LRU recency; disk hits are promoted into the
-        in-process map so repeated hits within one process skip SQLite.
-        """
-        digest = result_digest(scope, key)
-        blob = self._results.get(digest)
-        if blob is not None:
-            self._results.move_to_end(digest)
-            self.stats.hits += 1
-            return np.frombuffer(blob, dtype=np.float64).copy()
-        if self._conn is not None:
-            try:
-                row = self._conn.execute(
-                    "SELECT specs FROM results WHERE digest=?",
-                    (digest,)).fetchone()
-                if row is not None:
-                    self._conn.execute(
-                        "UPDATE results SET used=? WHERE digest=?",
-                        (time.time(), digest))
-                    self._conn.commit()
-                    self._remember(digest, bytes(row[0]))
-                    self.stats.hits += 1
-                    return np.frombuffer(row[0], dtype=np.float64).copy()
-            except sqlite3.Error:
-                pass
-        self.stats.misses += 1
-        return None
-
-    def put_result(self, scope: str, key: tuple, row: np.ndarray) -> None:
-        """Record the spec row of one solved sizing (idempotent upsert)."""
-        digest = result_digest(scope, key)
-        blob = np.ascontiguousarray(row, dtype=np.float64).tobytes()
-        self._remember(digest, blob)
-        self.stats.puts += 1
-        if self._conn is not None:
-            try:
-                self._conn.execute(
-                    "INSERT OR REPLACE INTO results VALUES (?, ?, ?)",
-                    (digest, blob, time.time()))
-                self._conn.commit()
-                self._maybe_evict()
-            except sqlite3.Error:
-                self.stats.dropped_writes += 1
-
-    def _remember(self, digest: str, blob: bytes) -> None:
-        """Insert into the in-process LRU map, evicting beyond capacity."""
-        self._results[digest] = blob
-        self._results.move_to_end(digest)
-        if len(self._results) > self.capacity:
-            self._results.popitem(last=False)
-
-    def _maybe_evict(self) -> None:
-        """Enforce the disk capacity bound every :data:`_EVICT_EVERY` puts."""
-        self._puts_since_evict += 1
-        if self._puts_since_evict < _EVICT_EVERY:
-            return
-        self._puts_since_evict = 0
-        (count,) = self._conn.execute(
-            "SELECT COUNT(*) FROM results").fetchone()
-        excess = count - self.capacity
-        if excess > 0:
-            self._conn.execute(
-                "DELETE FROM results WHERE digest IN (SELECT digest FROM "
-                "results ORDER BY used ASC LIMIT ?)", (excess,))
-            self._conn.commit()
-
-    # -- warm tier ----------------------------------------------------------
-    def _warm_index(self, scope: str) -> _WarmIndex:
-        """The scope's in-process seed index, lazily loaded from disk.
-
-        The disk rows recorded by *other* processes before this one
-        first touched the scope are folded in on first access; records
-        made elsewhere afterwards are picked up by fresh processes, not
-        retroactively — warm seeds are a throughput hint, not a
-        consistency surface.
-        """
-        index = self._warm.get(scope)
-        if index is None:
-            index = self._warm[scope] = _WarmIndex(self.warm_capacity)
-        if self._conn is not None and scope not in self._warm_loaded:
-            self._warm_loaded.add(scope)
-            try:
-                rows = self._conn.execute(
-                    "SELECT key, x FROM warm WHERE scope=? "
-                    "ORDER BY used DESC LIMIT ?",
-                    (scope, self.warm_capacity)).fetchall()
-                for key_blob, x_blob in reversed(rows):
-                    key = tuple(np.frombuffer(key_blob, dtype=np.int64)
-                                .tolist())
-                    index.record(key, np.frombuffer(x_blob,
-                                                    dtype=np.float64).copy())
-            except sqlite3.Error:
-                pass
-        return index
-
-    def nearest_seed(self, scope: str, key: tuple,
-                     size: int) -> tuple[np.ndarray, int] | None:
-        """Nearest stored operating point for a sizing, or None.
-
-        Returns ``(x, distance)`` where ``distance`` is the L1 grid
-        distance to the stored sizing (0 = the sizing itself was solved
-        before).  ``size`` must match the MNA system's unknown count.
-        The returned array is a copy — callers may write into seeds.
-        """
-        found = self._warm_index(scope).nearest(key, size)
-        if found is None:
-            self.stats.warm_misses += 1
-            return None
-        self.stats.warm_hits += 1
-        return found[0].copy(), found[1]
-
-    def record_seed(self, scope: str, key: tuple, x: np.ndarray) -> None:
-        """Record one converged operating point for warm-start reuse."""
-        x = np.ascontiguousarray(x, dtype=np.float64).copy()
-        self._warm_index(scope).record(tuple(int(k) for k in key), x)
-        self.stats.seeds += 1
-        if self._conn is not None:
-            try:
-                key_blob = np.asarray(key, dtype=np.int64).tobytes()
-                self._conn.execute(
-                    "INSERT OR REPLACE INTO warm VALUES (?, ?, ?, ?, ?)",
-                    (result_digest(scope, key), scope, key_blob,
-                     x.tobytes(), time.time()))
-                self._conn.commit()
-            except sqlite3.Error:
-                self.stats.dropped_writes += 1
-
-
-#: Process-wide stores, one per (mode, directory) configuration.
-_STORES: dict[tuple[str, str], EvaluationStore] = {}
-
-#: Pid that populated :data:`_STORES` — a forked child inherits the
-#: dict (and the parent's open SQLite connections) by copy, and using an
-#: inherited connection from two processes is undefined behavior.
-_STORES_PID = os.getpid()
-
-#: Stores inherited from a parent process, parked instead of closed:
-#: closing (or garbage-collecting) an inherited connection object would
-#: finalise the parent's live handle from the child, so the child keeps
-#: a reference forever and simply never uses it.
-_ORPHANS: list[EvaluationStore] = []
-
-
-def _guard_fork() -> None:
-    """Retire stores inherited across a fork before any use.
-
-    Pid-stamps the cache: the first :func:`get_store` call in a forked
-    child moves every inherited instance to :data:`_ORPHANS` (never
-    closed — the SQLite handle belongs to the parent) and restamps, so
-    each process always opens its own connections."""
-    global _STORES_PID
-    if _STORES_PID != os.getpid():
-        _ORPHANS.extend(_STORES.values())
-        _STORES.clear()
-        _STORES_PID = os.getpid()
-
-
-def get_store() -> EvaluationStore | None:
-    """The process-wide store for the current knob values (None = off).
-
-    Resolved from the environment on every call (like the shard pool
-    resolves ``REPRO_SHARDS`` per batch), so tests and long-lived
-    processes can flip the knobs without rebuilding simulators; the
-    same configuration always returns the same store instance, which
-    is what makes the ``mem`` tier process-wide.  The cache is
-    pid-guarded: a forked worker never reuses connections it inherited
-    from its parent (see :func:`_guard_fork`).
-    """
-    mode = cache_mode()
-    if mode == "off":
-        return None
-    _guard_fork()
-    directory = str(cache_dir()) if mode == "disk" else ""
-    store = _STORES.get((mode, directory))
-    if store is None:
-        store = EvaluationStore(
-            mode, pathlib.Path(directory) if directory else None)
-        _STORES[(mode, directory)] = store
-    return store
-
-
-def reset_store() -> None:
-    """Drop every process-wide store (test isolation hook).
-
-    Stores inherited across a fork are parked, not closed — only
-    connections this process opened itself are finalised."""
-    global _STORES_PID
-    if _STORES_PID == os.getpid():
-        for store in _STORES.values():
-            store.close()
-    else:
-        _ORPHANS.extend(_STORES.values())
-    _STORES.clear()
-    _STORES_PID = os.getpid()
+def get_store() -> None:
+    """Always None: the persistent result store no longer exists."""
+    return None

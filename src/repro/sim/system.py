@@ -522,7 +522,7 @@ class MnaSystem:
         if self.iterative:
             # Hand the driver a Krylov operator instead of a CSC matrix:
             # the current iterate warm-starts the linear solve, so
-            # store-seeded Newton cuts Krylov iterations too.
+            # trajectory-seeded Newton cuts Krylov iterations too.
             return self.krylov_state.operator(
                 data, x0=np.array(x[:self.size], dtype=float),
                 gmin=gmin), rhs

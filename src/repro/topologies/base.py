@@ -32,14 +32,12 @@ from repro.circuits.technology import Corner, Technology
 from repro.core.specs import SpecSpace, failure_measurements
 from repro.errors import (ConvergenceError, EvaluationFault,
                           MeasurementError, TopologyError, TrainingError)
-from repro.sim.faults import (PROV_COLD, PROV_HIT, PROV_MEMO, PROV_WARM,
-                              BatchReport, FaultRecord, active_profile,
+from repro.sim.faults import (BatchReport, FaultRecord, active_profile,
                               check_poison)
 from repro.sim.batch import SystemStack, solve_dc_batch
 from repro.sim.cache import SimulationCache, SimulationCounter, sizing_key
 from repro.sim.dc import OperatingPoint, solve_dc
 from repro.sim.stamp import StampPlan
-from repro.sim.store import SCHEMA_VERSION, get_store, scope_digest
 from repro.sim.system import MnaSystem
 from repro.topologies.params import ParameterSpace
 from repro.units import ROOM_TEMPERATURE
@@ -69,15 +67,6 @@ class Topology(abc.ABC):
         self.spec_space = self._build_spec_space()
         self._warm_x: np.ndarray | None = None
         self._batch_ref_x: np.ndarray | None = None  # batch warm-start seed
-        #: Persistent warm-start store wiring (set by the owning
-        #: simulator before each evaluation; None = store off).
-        self.warm_store = None
-        self.warm_scope: str | None = None
-        #: Rows of the last simulate_batch seeded from the warm store
-        #: (consumed by the simulator for provenance/accounting).
-        self.last_warm_rows: list[int] = []
-        #: Whether the last scalar simulate was seeded from the store.
-        self.last_solve_warm = False
         # One structure cache per (topology, corner, temperature): sizings
         # share netlist structure, so the MNA system is built once and
         # restamped per evaluation (see repro.sim.stamp).
@@ -212,35 +201,21 @@ class Topology(abc.ABC):
 
         DC solves are warm-started from the previous sizing's solution
         (sizing trajectories move one grid step at a time, so the previous
-        operating point is an excellent initial guess); without trajectory
-        state (first solve of an episode, or right after
-        :meth:`reset_warm_start`) the persistent warm-start store is
-        consulted for the nearest previously-converged sizing when the
-        ``REPRO_CACHE`` store is wired in.  On any convergence trouble
-        the solve is retried cold, and if that also fails the pessimistic
+        operating point is an excellent initial guess); the first solve
+        of an episode, or the first right after :meth:`reset_warm_start`,
+        starts cold.  On any convergence trouble the solve is retried
+        cold, and if that also fails the pessimistic
         :meth:`failure_measurement` is returned so optimisers always
         receive a numeric (heavily penalised) result.
         """
         system = self._plan.restamp(values)
         op = None
-        self.last_solve_warm = False
         seed = self._warm_x
-        if seed is not None and seed.shape != (system.size,):
-            seed = None
-        if seed is None and self.warm_store is not None and self.warm_scope:
-            near = self.warm_store.nearest_seed(
-                self.warm_scope,
-                sizing_key(self.parameter_space.indices_of(values)),
-                system.size)
-            if near is not None:
-                seed = near[0]
-                self.last_solve_warm = True
-        if seed is not None:
+        if seed is not None and seed.shape == (system.size,):
             try:
                 op = solve_dc(system, x0=seed)
             except ConvergenceError:
                 op = None
-                self.last_solve_warm = False
         if op is None:
             try:
                 op = solve_dc(system)
@@ -248,10 +223,6 @@ class Topology(abc.ABC):
                 self._warm_x = None
                 return self.failure_measurement()
         self._warm_x = op.x.copy()
-        if self.warm_store is not None and self.warm_scope:
-            self.warm_store.record_seed(
-                self.warm_scope,
-                sizing_key(self.parameter_space.indices_of(values)), op.x)
         try:
             return self.measure(system, op)
         except MeasurementError:
@@ -273,23 +244,12 @@ class Topology(abc.ABC):
         so results are reproducible regardless of evaluation history and
         match sequential :meth:`simulate` calls spec for spec within
         solver tolerance; the per-instance warm-start state is left
-        untouched.  With the persistent store wired in (``REPRO_CACHE``)
-        each design's seed is upgraded to the nearest previously-converged
-        operating point where one exists; a warm-seeded design that fails
-        to converge is re-solved from the canonical seed, so the result
-        set stays spec-equivalent to the store-off run.
+        untouched.
         """
-        B = len(values_list)
-        self.last_warm_rows = []
-        if B == 0:
+        if not values_list:
             return []
         stack: SystemStack = self._plan.stack(values_list)
-        seeds = self._batch_warm_start(stack, values_list)
-        warm_rows = self.last_warm_rows
-        result = solve_dc_batch(stack, x0=seeds)
-        if warm_rows and not result.converged.all():
-            self._warm_fallback(values_list, result, warm_rows)
-        self._record_batch_seeds(values_list, result)
+        result = solve_dc_batch(stack, x0=self._batch_warm_start(stack))
         batched = self.measure_batch(stack, result)
         if batched is not None:
             return batched
@@ -308,25 +268,15 @@ class Topology(abc.ABC):
                 specs.append(self.failure_measurement())
         return specs
 
-    def _batch_warm_start(self, stack: SystemStack,
-                          values_list: list[dict[str, float]] | None = None
-                          ) -> np.ndarray | None:
+    def _batch_warm_start(self, stack: SystemStack) -> np.ndarray | None:
         """Shared warm start for a batch solve.
 
         Any valid operating point of the topology is a far better Newton
-        seed than zeros (supply/bias rails are already up).  The default
-        seed is the *canonical* grid-centre operating point, solved cold
-        once and cached — deliberately independent of evaluation history,
-        so batch results are reproducible regardless of what was
-        simulated before.  Falls back to cold (None) when the centre
-        itself fails.
-
-        When ``values_list`` is given and the persistent store is wired
-        in, each design's seed is upgraded to the nearest
-        previously-converged operating point (content-addressed by
-        quantized sizing — still history-independent in the exact-repeat
-        case); the upgraded rows are published in
-        :attr:`last_warm_rows` so callers can fall back and account.
+        seed than zeros (supply/bias rails are already up).  The seed is
+        the *canonical* grid-centre operating point, solved cold once and
+        cached — deliberately independent of evaluation history, so
+        batch results are reproducible regardless of what was simulated
+        before.  Falls back to cold (None) when the centre itself fails.
         """
         ref = self._batch_ref_x
         if ref is None or ref.shape != (stack.size,):
@@ -337,62 +287,8 @@ class Topology(abc.ABC):
                 ref = None
             else:
                 self._batch_ref_x = ref
-        seeds = (np.tile(ref, (stack.n_designs, 1))
-                 if ref is not None else None)
-        self.last_warm_rows = []
-        if (values_list is None or self.warm_store is None
-                or not self.warm_scope):
-            return seeds
-        for i, values in enumerate(values_list):
-            near = self.warm_store.nearest_seed(
-                self.warm_scope,
-                sizing_key(self.parameter_space.indices_of(values)),
-                stack.size)
-            if near is None:
-                continue
-            if seeds is None:
-                seeds = np.zeros((stack.n_designs, stack.size))
-            seeds[i] = near[0]
-            self.last_warm_rows.append(i)
-        return seeds
-
-    def _warm_fallback(self, values_list, result, warm_rows) -> None:
-        """Re-solve failed warm-seeded designs from the canonical seed.
-
-        The spec-equivalence contract of the warm-start store: a design
-        the canonical batch would have converged must not fail just
-        because its store seed was a poor guess.  Each non-converged
-        warm row is retried scalar from the canonical reference (cold
-        when the centre itself failed) and its slice of the batch
-        result patched in place; designs failing both paths keep their
-        non-converged marking, exactly like the store-off run.
-        """
-        ref = self._batch_ref_x
-        for i in warm_rows:
-            if result.converged[i]:
-                continue
-            system = self._plan.restamp(values_list[i])
-            seed = ref if (ref is not None
-                           and ref.shape == (system.size,)) else None
-            try:
-                op = solve_dc(system, x0=seed)
-            except ConvergenceError:
-                continue
-            result.x[i] = op.x
-            result.converged[i] = True
-            result.iterations[i] = op.iterations
-            result.residual_norm[i] = op.residual_norm
-
-    def _record_batch_seeds(self, values_list, result) -> None:
-        """Record every converged design's operating point in the store."""
-        if self.warm_store is None or not self.warm_scope:
-            return
-        for i, values in enumerate(values_list):
-            if result.converged[i]:
-                self.warm_store.record_seed(
-                    self.warm_scope,
-                    sizing_key(self.parameter_space.indices_of(values)),
-                    result.x[i])
+        return (np.tile(ref, (stack.n_designs, 1))
+                if ref is not None else None)
 
     def measure_batch(self, stack: SystemStack, result) -> (
             list[dict[str, float]] | None):
@@ -473,13 +369,10 @@ class Topology(abc.ABC):
         on every episode reset, so one episode's final operating point
         never seeds the next episode's first solve (per-episode state
         must not leak between designs).  The *canonical* grid-centre
-        seed and the content-addressed store seeds survive by design:
-        both are functions of the sizing being solved, not of what was
-        solved before, so they carry no trajectory history.
+        seed survives by design: it is a function of the topology, not
+        of what was solved before, so it carries no trajectory history.
         """
         self._warm_x = None
-        self.last_solve_warm = False
-        self.last_warm_rows = []
 
 
 @dataclasses.dataclass
@@ -488,23 +381,19 @@ class _BatchPlan:
 
     Built by ``CircuitSimulator._plan_batch`` (which also does the
     counter accounting), consumed by ``_finish_batch`` once the distinct
-    fresh specs are available.  ``results`` holds the memo and
-    store-exact hits already resolved; ``pending`` maps each fresh key
-    to the batch rows waiting on it (memoised path), ``fresh_rows`` the
-    caller row of each fresh value (uncached path — no longer simply
-    positional once the store resolves rows mid-batch), and
-    ``provenance`` the per-caller-row resolution code for rows the
-    front-end resolved itself (memo/store hits)."""
+    fresh specs are available.  ``results`` holds the memo hits already
+    resolved; fresh value ``i`` (``fresh_values[i]``) serves the caller
+    rows ``fresh_rows[i]`` — several when the memoised path dedupes a
+    repeated sizing — and is memoised under ``fresh_keys[i]`` (empty on
+    the uncached path)."""
 
     results: list
-    fresh_keys: list
     fresh_values: list
-    pending: dict
-    fresh_rows: list = dataclasses.field(default_factory=list)
-    provenance: np.ndarray | None = None
+    fresh_rows: list
+    fresh_keys: list
 
 
-class CircuitSimulator(abc.ABC):
+class CircuitSimulator:
     """What optimisers see: index-vector evaluation with sim accounting.
 
     Batched evaluation can be sharded across worker processes: when the
@@ -536,9 +425,36 @@ class CircuitSimulator(abc.ABC):
     last_batch_report = None
     _fresh_report = None
 
-    @abc.abstractmethod
     def evaluate(self, indices: np.ndarray) -> dict[str, float]:
-        """Simulate the sizing at grid ``indices`` and return its specs."""
+        """Simulate the sizing at grid ``indices`` and return its specs.
+
+        Out-of-range indices are clipped to the grid.  With the memo on,
+        a repeated sizing is answered from it and counted ``cached``;
+        any other sizing is counted ``fresh`` and solved by
+        :meth:`_evaluate_fresh`.  The caller always gets its own copy of
+        the spec dict.
+        """
+        indices = self.parameter_space.clip(indices)
+        key = sizing_key(indices)
+        cache = self._cache
+        if cache is not None and key in cache:
+            self.counter.cached += 1
+            return dict(cache.get_or_compute(key, dict))
+        self.counter.fresh += 1
+        result = self._evaluate_fresh(indices)
+        if cache is not None:
+            result = cache.get_or_compute(key, lambda: result)
+        return dict(result)
+
+    def _evaluate_fresh(self, indices: np.ndarray) -> dict[str, float]:
+        """Solve and measure one clipped sizing (no memo, no counting).
+
+        The hook behind :meth:`evaluate`: engine-backed simulators
+        implement it; simple simulators may override :meth:`evaluate`
+        itself instead."""
+        raise NotImplementedError(
+            f"{type(self).__name__} must implement _evaluate_fresh or "
+            "override evaluate")
 
     def evaluate_batch(self, indices_2d: np.ndarray) -> list[dict[str, float]]:
         """Evaluate B sizings (rows of ``indices_2d``) and return B spec
@@ -571,103 +487,58 @@ class CircuitSimulator(abc.ABC):
 
         Memo hits (and duplicate rows within the batch) are resolved
         from the memo and counted exactly as the sequential loop would
-        count them; rows the persistent result store has seen before
-        (``REPRO_CACHE``) are replayed bit for bit and charged
-        ``cached`` without ever reaching the engine; the remaining
-        misses come back as the plan's fresh value list.  With ``cache``
-        None every memo-miss row is fresh (no dedupe) — the uncached
-        simulator's historical accounting, under which in-batch
-        duplicates really are solved twice (each still checks the store
-        individually).
+        count them; the remaining misses come back as the plan's fresh
+        value list.  With ``cache`` None every row is fresh (no dedupe) —
+        the uncached simulator's historical accounting, under which
+        in-batch duplicates really are solved twice.
         """
         indices_2d = self.parameter_space.clip(
             self._normalize_batch(indices_2d))
         B = len(indices_2d)
-        store = get_store()
-        scope = self._store_scope() if store is not None else None
-        if store is not None and scope is None:
-            store = None   # simulator without a content-addressable scope
-        if cache is None and store is None:
+        if cache is None:
             self.counter.fresh += B
             return _BatchPlan(
-                results=[None] * B, fresh_keys=[],
+                results=[None] * B,
                 fresh_values=[self.parameter_space.values(row)
                               for row in indices_2d],
-                pending={}, fresh_rows=list(range(B)))
+                fresh_rows=[[r] for r in range(B)], fresh_keys=[])
         results: list[dict[str, float] | None] = [None] * B
         fresh_values: list[dict[str, float]] = []
         fresh_keys: list[tuple[int, ...]] = []
-        fresh_rows: list[int] = []
         pending: dict[tuple[int, ...], list[int]] = {}
-        provenance = np.zeros(B, dtype=np.int8)
         for r in range(B):
             indices = indices_2d[r]
             key = sizing_key(indices)
-            if cache is not None and key in cache:
+            if key in cache:
                 self.counter.cached += 1
                 results[r] = dict(cache.get_or_compute(
                     key, dict))  # key present: compute never runs
-                provenance[r] = PROV_MEMO
-                continue
-            if cache is not None and key in pending:
+            elif key in pending:
                 # Duplicate inside the batch: the sequential loop would
                 # have found it in the cache by now.
                 self.counter.cached += 1
                 pending[key].append(r)
-                provenance[r] = PROV_MEMO
-                continue
-            if store is not None:
-                row = store.get_result(scope, key)
-                if row is not None:
-                    # Exact store hit: bitwise replay of the recorded
-                    # solve, charged like a memo hit, promoted into the
-                    # memo so in-batch duplicates dedupe as usual.
-                    self.counter.cached += 1
-                    spec = self._row_to_spec(row)
-                    results[r] = spec
-                    provenance[r] = PROV_HIT
-                    if cache is not None:
-                        cache.get_or_compute(key, lambda s=spec: dict(s))
-                    continue
-            self.counter.fresh += 1
-            if cache is not None:
+            else:
+                self.counter.fresh += 1
                 pending[key] = [r]
-            fresh_keys.append(key)
-            fresh_rows.append(r)
-            fresh_values.append(self.parameter_space.values(indices))
-        return _BatchPlan(results=results, fresh_keys=fresh_keys,
-                          fresh_values=fresh_values, pending=pending,
-                          fresh_rows=fresh_rows, provenance=provenance)
+                fresh_keys.append(key)
+                fresh_values.append(self.parameter_space.values(indices))
+        return _BatchPlan(results=results, fresh_values=fresh_values,
+                          fresh_rows=list(pending.values()),
+                          fresh_keys=fresh_keys)
 
     def _finish_batch(self, plan: _BatchPlan, specs, cache
                       ) -> list[dict[str, float]]:
-        """Back half of batched evaluation: record, memoise, scatter.
+        """Back half of batched evaluation: memoise and scatter.
 
         ``specs`` are the fresh results in ``plan.fresh_values`` order;
-        ``plan.fresh_rows`` maps them back to caller rows on the
-        uncached path.  Fresh results are recorded into the persistent
-        store (quarantined rows excepted — an injected fault must never
-        memorialise its penalty row as the design's result)."""
-        store = get_store()
-        scope = self._store_scope() if store is not None else None
-        if store is not None and scope is not None and plan.fresh_keys:
-            quarantined = (self._fresh_report.quarantined
-                           if self._fresh_report is not None else None)
-            for i, (key, spec) in enumerate(zip(plan.fresh_keys, specs)):
-                if (quarantined is not None and i < len(quarantined)
-                        and quarantined[i]):
-                    continue
-                store.put_result(scope, key, self._spec_to_row(spec))
-        if cache is None or not plan.pending:
-            if plan.fresh_rows:
-                for r, spec in zip(plan.fresh_rows, specs):
-                    plan.results[r] = dict(spec)
-            elif specs:   # legacy positional path (no row mapping)
-                plan.results = [dict(spec) for spec in specs]
-            return plan.results
-        for key, spec in zip(plan.fresh_keys, specs):
-            cache.get_or_compute(key, lambda s=spec: s)
-            for r in plan.pending[key]:
+        each is memoised (when caching is on) and copied into every
+        caller row it serves."""
+        if cache is not None:
+            for key, spec in zip(plan.fresh_keys, specs):
+                cache.get_or_compute(key, lambda s=spec: s)
+        for rows, spec in zip(plan.fresh_rows, specs):
+            for r in rows:
                 plan.results[r] = dict(spec)
         return plan.results
 
@@ -700,19 +571,8 @@ class CircuitSimulator(abc.ABC):
         if fresh is None:
             report = BatchReport(n_designs)
         else:
-            if plan.pending:
-                row_map = {i: plan.pending[key]
-                           for i, key in enumerate(plan.fresh_keys)}
-            elif plan.fresh_rows:
-                row_map = {i: [r] for i, r in enumerate(plan.fresh_rows)}
-            else:   # uncached: fresh rows are caller rows, positionally
-                row_map = {i: [i] for i in range(fresh.n_designs)}
-            report = fresh.translate(row_map, n_designs)
-        if plan.provenance is not None:
-            # Rows the front-end resolved itself (memo / store hits)
-            # overwrite whatever the fresh translation scattered there.
-            mask = plan.provenance != PROV_COLD
-            report.provenance[mask] = plan.provenance[mask]
+            report = fresh.translate(dict(enumerate(plan.fresh_rows)),
+                                     n_designs)
         for system in self._krylov_systems():
             stats = getattr(system, "krylov_state", None)
             if stats is None:
@@ -736,94 +596,6 @@ class CircuitSimulator(abc.ABC):
         """Pessimistic spec values charged to quarantined designs
         (delegates to :func:`repro.core.specs.failure_measurements`)."""
         return failure_measurements(self.spec_space)
-
-    # -- persistent store -----------------------------------------------------
-    def _store_scope(self) -> str | None:
-        """Content digest namespacing this simulator in the persistent
-        store (:mod:`repro.sim.store`), or None when the simulator has
-        no content-addressable identity (plain row-by-row simulators) —
-        the store is then skipped entirely.  Computed lazily once per
-        instance by the engine-backed subclasses."""
-        return None
-
-    def _row_to_spec(self, row: np.ndarray) -> dict[str, float]:
-        """One stored float64 spec row back to a spec dict."""
-        return {name: float(v)
-                for name, v in zip(self.spec_space.names, row)}
-
-    def _spec_to_row(self, spec: dict[str, float]) -> np.ndarray:
-        """One spec dict as a float64 row in spec-space order (the
-        store's bitwise-stable wire format)."""
-        return np.array([spec[name] for name in self.spec_space.names],
-                        dtype=np.float64)
-
-    def _consume_warm_rows(self) -> list[int]:
-        """Rows of the engine's last fresh batch that were seeded from
-        the warm-start store (cleared on read).  The base simulator has
-        no warm-start engine, so nothing to report."""
-        return []
-
-    def _absorb_fresh_provenance(self) -> None:
-        """Fold the fresh report's provenance into the counter.
-
-        Exact store hits found *inside* a shard worker were charged
-        ``fresh`` at plan time (the front-end missed them — another
-        process recorded the row in between); they are re-charged
-        ``cached``, keeping the accounting identical wherever the hit
-        surfaces.  Store-warm-started solves bump ``warm_started``
-        (still ``fresh`` — a Newton solve ran).
-        """
-        report = self._fresh_report
-        if report is None:
-            return
-        hits = int((report.provenance == PROV_HIT).sum())
-        if hits:
-            self.counter.fresh -= hits
-            self.counter.cached += hits
-        self.counter.warm_started += int(
-            (report.provenance == PROV_WARM).sum())
-
-    def _worker_batch(self, values_list: list[dict[str, float]]
-                      ) -> tuple[list[dict[str, float]], list[int]]:
-        """Store-aware engine entry for shard workers.
-
-        The parent front-end resolves exact hits before sharding, so
-        rows arriving here are misses *as of plan time* — but with a
-        shared disk store another process may have recorded a row since
-        (or concurrently), so workers consult the store once more before
-        solving.  Returns ``(specs, provenance)``: exact hits replay
-        bitwise without a solve, misses run the raw batched engine
-        (faults still escape to the supervisor) with store-warm seeds.
-        Workers never record result rows — the parent front-end owns the
-        exact tier's writes; warm seeds are recorded by whoever solved.
-        """
-        store = get_store()
-        scope = self._store_scope() if store is not None else None
-        n = len(values_list)
-        provenance = [PROV_COLD] * n
-        if store is None or scope is None:
-            specs = self._inprocess_batch(values_list)
-            for i in self._consume_warm_rows():
-                provenance[i] = PROV_WARM
-            return specs, provenance
-        specs: list[dict[str, float] | None] = [None] * n
-        miss: list[int] = []
-        for i, values in enumerate(values_list):
-            key = sizing_key(self.parameter_space.indices_of(values))
-            row = store.get_result(scope, key)
-            if row is not None:
-                specs[i] = self._row_to_spec(row)
-                provenance[i] = PROV_HIT
-            else:
-                miss.append(i)
-        if miss:
-            out = self._inprocess_batch([values_list[i] for i in miss])
-            warm = set(self._consume_warm_rows())
-            for j, i in enumerate(miss):
-                specs[i] = out[j]
-                if j in warm:
-                    provenance[i] = PROV_WARM
-        return specs, provenance
 
     def reset_warm_start(self) -> None:
         """Drop any per-trajectory warm-start state (no-op by default;
@@ -875,7 +647,6 @@ class CircuitSimulator(abc.ABC):
         self._recover_into(values_list, 0, specs, report, poison)
         report.latency[:] = time.perf_counter() - t0
         self._fresh_report = report
-        self._absorb_fresh_provenance()
         return specs
 
     def _recover_into(self, values_list, base: int, specs, report,
@@ -893,7 +664,6 @@ class CircuitSimulator(abc.ABC):
             out = self._inprocess_batch(values_list)
         except (EvaluationFault, np.linalg.LinAlgError,
                 FloatingPointError) as exc:
-            self._consume_warm_rows()   # discard partial warm state
             report.faults.append(FaultRecord(
                 "solve-error", -1, rows, int(report.attempts[base]) + 1,
                 f"{type(exc).__name__}: {exc}"))
@@ -915,8 +685,6 @@ class CircuitSimulator(abc.ABC):
             return
         for i, spec in enumerate(out):
             specs[base + i] = spec
-        for i in self._consume_warm_rows():
-            report.provenance[base + i] = PROV_WARM
         report.attempts[list(rows)] += 1
 
     def _values_matrix(self, values_list: list[dict[str, float]]
@@ -974,7 +742,6 @@ class CircuitSimulator(abc.ABC):
             return None
         out = pool.evaluate_values(self._values_matrix(values_list))
         self._fresh_report = pool.last_report
-        self._absorb_fresh_provenance()
         return self._rows_to_specs(out)
 
     def close_shard_pool(self) -> None:
@@ -1008,28 +775,6 @@ class SchematicSimulator(CircuitSimulator):
         self.spec_space = topology.spec_space
         self.counter = SimulationCounter()
         self._cache = SimulationCache(cache_size) if cache else None
-        self._scope: str | None = None
-
-    def _store_scope(self) -> str:
-        """Content digest namespacing this topology in the persistent
-        store: schema version, topology class, corner/temperature/
-        technology, parameter grids, spec names, netlist structure
-        signature and the *resolved* engine backend (dense, sparse and
-        iterative runs never exchange rows — iterative specs agree with
-        sparse to 1e-8, not bitwise).  Computed lazily once — the
-        grid-centre system it restamps is the same structure every
-        evaluation reuses."""
-        if self._scope is None:
-            t = self.topology
-            center = t.parameter_space.values(t.parameter_space.center)
-            system = t._plan.restamp(center)
-            self._scope = scope_digest((
-                SCHEMA_VERSION, "schematic", type(t).__name__, t.name,
-                t.corner.name, t.temperature, repr(t.technology),
-                repr(t.parameter_space.params), ",".join(t.spec_space.names),
-                system.engine,
-                repr(system.netlist.structure_signature())))
-        return self._scope
 
     def _krylov_systems(self) -> list:
         """The topology's planned system (iterative counters drain from
@@ -1038,44 +783,15 @@ class SchematicSimulator(CircuitSimulator):
         system = getattr(plan, "system", None)
         return [system] if system is not None else []
 
-    def _wire_store(self) -> None:
-        """Point the topology at the current store (resolved per call,
-        so flipping ``REPRO_CACHE`` never requires a new simulator)."""
-        store = get_store()
-        self.topology.warm_store = store
-        self.topology.warm_scope = (self._store_scope()
-                                    if store is not None else None)
+    # The shared front-end, bound in this class's own namespace too: the
+    # benchmark tracer (perfbench/tracing.py) wraps and restores
+    # ``SchematicSimulator.evaluate`` as an attribute of this class.
+    evaluate = CircuitSimulator.evaluate
 
-    def evaluate(self, indices: np.ndarray) -> dict[str, float]:
-        """Simulate the sizing at grid ``indices`` (memoised when caching
-        is on, replayed from the persistent store when ``REPRO_CACHE``
-        has seen it before) and return its measured specs."""
-        indices = self.parameter_space.clip(indices)
-        values = self.parameter_space.values(indices)
-        key = sizing_key(indices)
-        if self._cache is not None and key in self._cache:
-            self.counter.cached += 1
-            return dict(self._cache.get_or_compute(key, dict))
-        self._wire_store()
-        store = get_store()
-        if store is not None:
-            row = store.get_result(self._store_scope(), key)
-            if row is not None:
-                self.counter.cached += 1
-                spec = self._row_to_spec(row)
-                if self._cache is not None:
-                    self._cache.get_or_compute(key, lambda: dict(spec))
-                return dict(spec)
-        self.counter.fresh += 1
-        result = self.topology.simulate(values)
-        if self.topology.last_solve_warm:
-            self.counter.warm_started += 1
-        if store is not None:
-            store.put_result(self._store_scope(), key,
-                             self._spec_to_row(result))
-        if self._cache is not None:
-            result = self._cache.get_or_compute(key, lambda: result)
-        return dict(result)
+    def _evaluate_fresh(self, indices: np.ndarray) -> dict[str, float]:
+        """Solve one clipped sizing, warm-started along the sizing
+        trajectory (see :meth:`Topology.simulate`)."""
+        return self.topology.simulate(self.parameter_space.values(indices))
 
     def evaluate_batch(self, indices_2d: np.ndarray) -> list[dict[str, float]]:
         """Evaluate B sizings in one stacked solve (see
@@ -1088,14 +804,7 @@ class SchematicSimulator(CircuitSimulator):
     def _inprocess_batch(self, values_list: list[dict[str, float]]
                          ) -> list[dict[str, float]]:
         """Batched engine entry for distinct cache misses (stacked solve)."""
-        self._wire_store()
         return self.topology.simulate_batch(values_list)
-
-    def _consume_warm_rows(self) -> list[int]:
-        """Warm-seeded rows of the topology's last batch (cleared)."""
-        rows = self.topology.last_warm_rows
-        self.topology.last_warm_rows = []
-        return rows
 
     def reset_warm_start(self) -> None:
         """Forward to the topology: drop per-trajectory warm state."""

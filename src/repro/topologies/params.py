@@ -158,8 +158,8 @@ class ParameterSpace:
         """Hashable cache key for an index vector.
 
         Delegates to :func:`repro.sim.cache.sizing_key` — the one
-        quantization helper shared with the batch dedupe keys and the
-        persistent store digests, so the three can never drift apart.
+        quantization helper shared with the batch dedupe keys, so the
+        two can never drift apart.
         """
         from repro.sim.cache import sizing_key
         return sizing_key(indices)

@@ -163,7 +163,7 @@ class CompiledScenario:
         Explicit keyword arguments (the PVT-corner / shard-rebuild path)
         take precedence over the declaration's environment fields.  The
         instance is renamed to the scenario (``topology.name``), which
-        namespaces it in the persistent store and reports, and carries the recipe itself as
+        names it in reports, and carries the recipe itself as
         :attr:`~repro.topologies.base.Topology.zoo_recipe` so shard
         workers rebuild the *scenario*, not the bare base class.
         """

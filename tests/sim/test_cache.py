@@ -1,8 +1,11 @@
 """Simulation cache and counters."""
 
+import numpy as np
 import pytest
 
 from repro.sim import SimulationCache, SimulationCounter
+from repro.sim.cache import sizing_key
+from repro.topologies import FiveTransistorOta
 
 
 class TestCounter:
@@ -11,7 +14,7 @@ class TestCounter:
         c.fresh += 3
         c.cached += 2
         assert c.total == 5
-        assert c.snapshot() == {"fresh": 3, "cached": 2, "warm_started": 0, "total": 5}
+        assert c.snapshot() == {"fresh": 3, "cached": 2, "total": 5}
 
     def test_reset(self):
         c = SimulationCounter()
@@ -61,3 +64,12 @@ class TestCache:
         cache.get_or_compute((1, 2, 3), lambda: "x")
         assert (1, 2, 3) in cache
         assert (1, 2, 4) not in cache
+
+
+class TestKeyUnification:
+    def test_one_quantizer_everywhere(self):
+        space = FiveTransistorOta().parameter_space
+        idx = space.center
+        assert space.as_key(idx) == sizing_key(idx)
+        assert sizing_key(np.asarray(idx, dtype=np.int32)) == sizing_key(idx)
+        assert sizing_key([float(i) for i in idx]) == sizing_key(idx)

@@ -100,7 +100,14 @@ class TestSupervisorConfig:
         monkeypatch.setenv("REPRO_TIMEOUT", "banana")
         monkeypatch.setenv("REPRO_RETRIES", "-3")
         monkeypatch.setenv("REPRO_RETRY_BACKOFF", "")
-        assert SupervisorConfig.from_env() == SupervisorConfig()
+        with pytest.warns(RuntimeWarning) as record:
+            assert SupervisorConfig.from_env() == SupervisorConfig()
+        # One warning per rejected value; the empty backoff stays silent.
+        retries, timeout = sorted(str(w.message) for w in record
+                                  if "REPRO_" in str(w.message))
+        assert "REPRO_RETRIES='-3'" in retries and "using 2" in retries
+        assert ("REPRO_TIMEOUT='banana'" in timeout
+                and "using 0.0" in timeout)
 
     def test_negative_values_rejected(self):
         with pytest.raises(TrainingError):

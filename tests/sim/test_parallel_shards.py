@@ -32,9 +32,12 @@ class TestKnob:
         monkeypatch.setenv("REPRO_SHARDS", "4")
         assert shard_count() == 4
         monkeypatch.setenv("REPRO_SHARDS", "0")
-        assert shard_count() == 1
+        with pytest.warns(RuntimeWarning, match=r"REPRO_SHARDS='0'.*using 1"):
+            assert shard_count() == 1
         monkeypatch.setenv("REPRO_SHARDS", "banana")
-        assert shard_count() == 1
+        with pytest.warns(RuntimeWarning,
+                          match=r"REPRO_SHARDS='banana'.*using 1"):
+            assert shard_count() == 1
         monkeypatch.delenv("REPRO_SHARDS")
         assert shard_count() == 1
 

@@ -26,7 +26,6 @@ STRICT_MODULES = (
     "repro.sim.krylov",
     "repro.sim.parallel",
     "repro.sim.sparse",
-    "repro.sim.store",
     "repro.rl.parallel",
     "repro.measure.pipeline",
     "repro.topologies.base",

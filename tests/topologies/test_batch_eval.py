@@ -47,9 +47,9 @@ def test_batch_uses_and_fills_cache():
     designs = np.stack([sim.parameter_space.sample(rng) for _ in range(5)])
     sim.reset_counter()
     first = sim.evaluate_batch(designs)
-    assert sim.counter.snapshot() == {"fresh": 5, "cached": 0, "warm_started": 0, "total": 5}
+    assert sim.counter.snapshot() == {"fresh": 5, "cached": 0, "total": 5}
     second = sim.evaluate_batch(designs)
-    assert sim.counter.snapshot() == {"fresh": 5, "cached": 5, "warm_started": 0, "total": 10}
+    assert sim.counter.snapshot() == {"fresh": 5, "cached": 5, "total": 10}
     for a, b in zip(first, second):
         assert a == b
 
@@ -61,6 +61,16 @@ def test_batch_duplicate_rows_count_like_sequential_cache_hits():
     results = sim.evaluate_batch(np.stack([row, row, row]))
     assert sim.counter.fresh == 1
     assert sim.counter.cached == 2
+    assert results[0] == results[1] == results[2]
+
+
+def test_uncached_duplicate_rows_each_charged_fresh():
+    """Without the memo there is no dedupe: the historical uncached
+    policy solves (and charges) every row, duplicates included."""
+    sim = SchematicSimulator(FiveTransistorOta(), cache=False)
+    designs = np.stack([sim.parameter_space.center] * 3)
+    results = sim.evaluate_batch(designs)
+    assert sim.counter.snapshot() == {"fresh": 3, "cached": 0, "total": 3}
     assert results[0] == results[1] == results[2]
 
 

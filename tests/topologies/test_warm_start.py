@@ -1,0 +1,89 @@
+"""Trajectory warm starts: seed-independent specs and reset semantics.
+
+Scalar evaluations seed Newton from the previous sizing's operating
+point.  The post-convergence polish of the Newton drivers makes the
+result a function of the circuit alone, so a trajectory-seeded solve
+must reproduce a cold solve of the same sizing to <= 1e-9 (this is the
+direct test of the polish), and ``reset_warm_start`` must drop the
+trajectory state so one episode never seeds the next.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.env import SizingEnv
+from repro.pex.extraction import PexSimulator
+from repro.topologies import FiveTransistorOta, SchematicSimulator
+
+
+def _rel_close(a, b, tol=1e-9):
+    return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
+
+
+class TestWarmColdEquivalence:
+    """Warm-vs-cold spec equivalence <= 1e-9 across one-grid-step deltas."""
+
+    _topologies = {}
+
+    @classmethod
+    def _topology(cls, engine):
+        t = cls._topologies.get(engine)
+        if t is None:
+            t = cls._topologies[engine] = FiveTransistorOta()
+            t._plan.engine = engine      # pin the leg, whatever REPRO_ENGINE says
+        return t
+
+    @pytest.mark.parametrize("engine", ["dense", "sparse"])
+    @settings(max_examples=8, deadline=None)
+    @given(data=st.data())
+    def test_one_step_delta(self, engine, data):
+        topology = self._topology(engine)
+        space = topology.parameter_space
+        idx = np.array([data.draw(st.integers(0, int(c) - 1), label="idx")
+                        for c in space.counts], dtype=np.int64)
+        axis = data.draw(st.integers(0, len(space) - 1), label="axis")
+        sign = data.draw(st.sampled_from([-1, 1]), label="sign")
+        neighbor = space.clip(idx.copy())
+        neighbor[axis] = np.clip(neighbor[axis] + sign, 0,
+                                 space.counts[axis] - 1)
+        sim = SchematicSimulator(topology, cache=False)
+        topology.reset_warm_start()
+        cold = sim.evaluate(idx)
+        assert topology._plan.system.engine == engine
+        topology.reset_warm_start()
+        sim.evaluate(neighbor)           # the trajectory's previous step
+        warm = sim.evaluate(idx)         # seeded from the neighbour
+        for name in cold:
+            assert _rel_close(cold[name], warm[name]), (
+                f"{name}: cold {cold[name]!r} vs warm {warm[name]!r}")
+
+
+class TestWarmStartReset:
+    def test_reset_clears_trajectory_state(self):
+        topology = FiveTransistorOta()
+        sim = SchematicSimulator(topology, cache=False)
+        sim.evaluate(topology.parameter_space.center)
+        assert topology._warm_x is not None
+        sim.reset_warm_start()
+        assert topology._warm_x is None
+
+    def test_env_reset_resets_warm_state_each_episode(self):
+        topology = FiveTransistorOta()
+        sim = SchematicSimulator(topology, cache=False)
+        calls = []
+        original = sim.reset_warm_start
+        sim.reset_warm_start = lambda: (calls.append(1), original())
+        env = SizingEnv(sim, seed=0)
+        env.reset()
+        env.step([2] * len(sim.parameter_space))
+        env.reset()
+        assert len(calls) == 2
+
+    def test_pex_reset_clears_per_corner_warm(self):
+        pex = PexSimulator(FiveTransistorOta, cache=False)
+        pex.evaluate_percorner(pex.parameter_space.center)
+        assert pex._warm
+        pex.reset_warm_start()
+        assert not pex._warm

@@ -106,7 +106,6 @@ def _rows(space, n=2):
 @pytest.mark.parametrize("name", sorted(HAND_BUILT))
 def test_bitwise_agreement(name, engine, monkeypatch):
     monkeypatch.setenv("REPRO_ENGINE", engine)
-    monkeypatch.delenv("REPRO_CACHE", raising=False)
     zoo_topology = scenario(name).create()
     reference = HAND_BUILT[name]()
     assert zoo_topology.parameter_space.params == reference.parameter_space.params
