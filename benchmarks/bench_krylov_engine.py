@@ -22,12 +22,24 @@ Four timings per (engine, mesh) configuration:
 * ``ac``   — one fresh AC sweep over the topology's frequency grid
   (per-point ``splu`` refactorisation vs one shared ILU anchor).
 
+Since the measurement pipeline condenses the mesh out of the AC sweep
+(:mod:`repro.sim.condense`), ``eval`` no longer pays ``ac``; ``ac``
+still times :func:`repro.sim.ac.ac_sweep`, which stays on the full
+system.  Two condensation rows per mesh, on the leg ``auto`` picks:
+
+* ``reduce`` — the one-time reduction (partition plus the port
+  admittances over the topology's AC grid), paid once per structure;
+* ``condensed eval`` — the warm evaluation, next to the same loop with
+  the condensation switched off (``full eval``).
+
 Run directly::
 
     python benchmarks/bench_krylov_engine.py
 
 Default scale brackets the crossover and checks the >=5k-unknown
-acceptance floor; ``AUTOCKT_FULL=1`` adds the 15k and 50k meshes.
+acceptance floor; ``AUTOCKT_FULL=1`` adds the 50k mesh.  The
+condensation rows run at 5k by default and add 15k and 50k under
+``AUTOCKT_FULL=1``.
 Results go to ``benchmarks/results/krylov_engine.txt`` (narrative) and
 the ``krylov_engine`` section of ``BENCH_simulator.json`` (record).
 """
@@ -45,7 +57,7 @@ sys.path[:0] = [str(pathlib.Path(__file__).resolve().parent.parent / "src"),
 import numpy as np
 
 from _harness import FULL_SCALE, publish, publish_json
-from repro.sim import OperatingPoint, ac_sweep, dc, solve_dc
+from repro.sim import MnaSystem, OperatingPoint, ac_sweep, dc, solve_dc
 from repro.topologies import PowerGridOta
 
 
@@ -128,6 +140,43 @@ def _bench_engine(engine: str, grid_n: int, n_evals: int, rng
         os.environ.pop("REPRO_ENGINE", None)
 
 
+def _bench_condensation(grid_n: int, n_evals: int, rng) -> dict:
+    """One-time reduction and warm evaluations with and without the
+    condensation, on the leg ``auto`` picks for the mesh."""
+    topo = PowerGridOta(grid_n=grid_n, n_amps=4)
+    space = topo.parameter_space
+    center = np.asarray(space.center)
+    sizings = [space.values(space.clip(center + rng.integers(-2, 3,
+                                                             len(space))))
+               for _ in range(n_evals)]
+    system = topo._plan.restamp(sizings[0])
+    t0 = time.perf_counter()
+    system.condensation.port_correction(topo.AC_FREQUENCIES)
+    t_reduce = time.perf_counter() - t0
+
+    def warm_evals() -> float:
+        topo.reset_warm_start()
+        topo.simulate(sizings[0])
+        t0 = time.perf_counter()
+        for values in sizings:
+            topo.simulate(values)
+        return (time.perf_counter() - t0) / n_evals
+
+    t_condensed = warm_evals()
+    condensation = MnaSystem.condensation
+    MnaSystem.condensation = property(lambda self: None)
+    try:
+        t_full = warm_evals()
+    finally:
+        MnaSystem.condensation = condensation
+    return {"scenario": f"power_grid_{grid_n}x{grid_n}",
+            "unknowns": system.size, "engine": system.engine,
+            "reduce_ms": t_reduce * 1e3,
+            "condensed_eval_ms": t_condensed * 1e3,
+            "full_eval_ms": t_full * 1e3,
+            "eval_speedup": t_full / t_condensed}
+
+
 def main() -> None:
     rng = np.random.default_rng(0)
     #: (grid_n, n_evals): 16/36 bracket the crossover from below, 71
@@ -188,6 +237,19 @@ def main() -> None:
             f"{record['acceptance_5k_speedup']:.2f}x at "
             f"{record['acceptance_5k_unknowns']} unknowns (floor 2x; "
             f"dc wall is Amdahl-capped by device evaluation)")
+    # Condensation rows: 5k by default, 15k and 50k at full scale.
+    record["condensation"] = [
+        _bench_condensation(grid_n, n_evals, rng)
+        for grid_n, n_evals in ([(71, 3), (122, 2), (223, 1)] if FULL_SCALE
+                                else [(71, 3)])]
+    lines.append(f"{'mesh':<10} {'unknowns':>8} {'reduce':>10} "
+                 f"{'condensed':>10} {'full eval':>10} {'speedup':>8}")
+    for c in record["condensation"]:
+        lines.append(
+            f"{c['scenario'].removeprefix('power_grid_'):<10} "
+            f"{c['unknowns']:>8d} "
+            f"{c['reduce_ms']:>8.1f}ms {c['condensed_eval_ms']:>8.1f}ms "
+            f"{c['full_eval_ms']:>8.1f}ms {c['eval_speedup']:>7.2f}x")
     publish("krylov_engine.txt", "\n".join(lines))
     publish_json("krylov_engine", record)
 

@@ -47,6 +47,7 @@ from repro.measure.acspecs import (
 )
 from repro.measure.transpecs import settling_time
 from repro.sim.ac import ac_node_response_batch
+from repro.sim.condense import condensed_response
 from repro.sim.linear import step_response_node_batch
 from repro.sim.noise import (
     output_noise_rms_batch,
@@ -156,7 +157,12 @@ class MeasureContext:
     def node_response(self, frequencies: np.ndarray,
                       node: str) -> np.ndarray:
         """``(m, F)`` complex AC responses of ``node``, memoised per
-        (grid, node) so every AC-derived spec reads one sweep."""
+        (grid, node) so every AC-derived spec reads one sweep.
+
+        On sparse stacks a boundary node of a condensable structure
+        solves through :func:`repro.sim.condense.condensed_response`;
+        other slices and nodes use the full :meth:`sweep_factors`.
+        """
         key = (id(frequencies), node)
         hit = self._resp.get(key)
         if hit is not None and hit[0] is frequencies:
@@ -165,10 +171,15 @@ class MeasureContext:
         if idx < 0:
             h = np.zeros((self.m, len(frequencies)), dtype=complex)
         elif self.sparse:
-            h = np.empty((self.m, len(frequencies)), dtype=complex)
-            for j, (r, fact) in enumerate(zip(self.rows,
-                                              self.sweep_factors(frequencies))):
-                h[j] = fact.solve(self.stack.b_ac[r])[:, idx]
+            # Condensed boundary solves where the template's reduction
+            # covers a slice; the full sweep factors for the rest.
+            h, left = condensed_response(self.stack, self.rows,
+                                         *self._g3c4(), frequencies, idx)
+            if left.any():
+                facts = self.sweep_factors(frequencies)
+                for j in np.flatnonzero(left):
+                    b = self.stack.b_ac[self.rows[j]]
+                    h[j] = facts[j].solve(b)[:, idx]
         else:
             G, C = self.small_signal()
             h = ac_node_response_batch(G, C, self.stack.b_ac[self.rows],

@@ -152,6 +152,12 @@ class SparseState:
         self.pat_cols = coo.col.astype(np.intp)
         self.indices = pattern.indices.copy()
         self.indptr = pattern.indptr.copy()
+        # Every master-pattern matrix shares these two arrays, so they are
+        # read-only: an in-place structural operation on one matrix
+        # (``eliminate_zeros``, ``sum_duplicates``) raises ValueError
+        # instead of rewriting the pattern under every later solve.
+        self.indices.flags.writeable = False
+        self.indptr.flags.writeable = False
         self.nnz = pattern.nnz
         pos = {(int(r), int(c)): k
                for k, (r, c) in enumerate(zip(self.pat_rows, self.pat_cols))}
@@ -216,7 +222,8 @@ class SparseState:
         return np.ascontiguousarray(dense[self.pat_rows, self.pat_cols])
 
     def matrix(self, data: np.ndarray):
-        """CSC matrix over the master pattern with the given ``.data``."""
+        """CSC matrix over the master pattern with the given ``.data``
+        (sharing the read-only ``indices``/``indptr``)."""
         return _sp.csc_matrix((data, self.indices, self.indptr),
                               shape=(self.n, self.n))
 

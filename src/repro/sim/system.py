@@ -78,6 +78,7 @@ from repro.circuits.mosfet import (
 from repro.circuits.netlist import GROUND, Netlist
 from repro.errors import NetlistError
 from repro.sim import sparse as sparse_engine
+from repro.sim.condense import Condensation, condense
 from repro.sim.engine import resolve_engine
 from repro.units import ROOM_TEMPERATURE
 
@@ -235,6 +236,9 @@ class MnaSystem:
             self.krylov_state = None
         self._sp_Gdata: np.ndarray | None = None   # master-pattern G gather
         self._sp_Cdata: np.ndarray | None = None   # master-pattern C gather
+        self._condensation: Condensation | None = None
+        self._condensation_stale = True
+        self._base_synced = False  # G/C/b equal the frozen base
         self._ss_sparse_memo: tuple | None = None  # (op, G_csc, C_csc)
         self._sp_lu_memo: tuple | None = None      # (op, freqs, [splu])
 
@@ -355,7 +359,10 @@ class MnaSystem:
         self._refresh_values()
 
     def _rebuild_base(self) -> None:
-        """Stamp the currently-constant elements into the base matrices."""
+        """Stamp the currently-constant elements into the base matrices
+        (which also invalidates :attr:`condensation`)."""
+        self._base_synced = False
+        self._condensation_stale = True
         self._G0.fill(0.0)
         self._C0.fill(0.0)
         self._b_dc0.fill(0.0)
@@ -364,12 +371,19 @@ class MnaSystem:
             element.stamp(self._base_stamper)
 
     def _refresh_values(self) -> None:
-        """Recompute everything value-dependent from the bound netlist."""
+        """Recompute everything value-dependent from the bound netlist.
+
+        Without variable linear elements ``G/C/b`` equal the frozen base
+        once copied, so later refreshes skip the copy (and keep the
+        master-pattern gathers) until the base is rebuilt.
+        """
         self._dev = (DeviceArrays.from_mosfets(self.mosfets)
                      if self.mosfets else None)
         self._ss_memo = None
         self._ss_sparse_memo = None
         self._sp_lu_memo = None
+        if self._base_synced:
+            return
         self._sp_Gdata = None
         self._sp_Cdata = None
         np.copyto(self.G, self._G0)
@@ -378,6 +392,7 @@ class MnaSystem:
         np.copyto(self.b_ac, self._b_ac0)
         for element in self._var_elems:
             element.stamp(self._stamper)
+        self._base_synced = not self._var_elems
 
     def restamp(self, netlist: Netlist) -> "MnaSystem":
         """Refresh ``G/C/b`` in place from a same-structure netlist.
@@ -423,6 +438,21 @@ class MnaSystem:
     def device_arrays(self) -> DeviceArrays | None:
         """Stacked per-MOSFET constants (None for linear-only circuits)."""
         return self._dev
+
+    @property
+    def condensation(self) -> Condensation | None:
+        """Exact condensation of the sizing-invariant R/C interior onto
+        the boundary (:mod:`repro.sim.condense`); None on the dense leg
+        and for systems without an interior.
+
+        Built on first use and invalidated with the frozen base (a
+        demotion or a new netlist); a rebuilt base that left the interior
+        unchanged keeps the old reduction and its cached grids.
+        """
+        if self._condensation_stale:
+            self._condensation = condense(self, self._condensation)
+            self._condensation_stale = False
+        return self._condensation
 
     def dynamic_columns(self, C_ss: np.ndarray) -> np.ndarray:
         """Nonzero (capacitive) columns of the small-signal C matrix.
@@ -529,13 +559,13 @@ class MnaSystem:
         return st.matrix(data), rhs
 
     def _sparse_G_data(self) -> np.ndarray:
-        """Master-pattern gather of ``G`` (cached until the next restamp)."""
+        """Master-pattern gather of ``G`` (cached until ``G`` changes)."""
         if self._sp_Gdata is None:
             self._sp_Gdata = self.sparse_state.gather(self.G)
         return self._sp_Gdata
 
     def _sparse_C_data(self) -> np.ndarray:
-        """Master-pattern gather of ``C`` (cached until the next restamp)."""
+        """Master-pattern gather of ``C`` (cached until ``C`` changes)."""
         if self._sp_Cdata is None:
             self._sp_Cdata = self.sparse_state.gather(self.C)
         return self._sp_Cdata
@@ -549,9 +579,12 @@ class MnaSystem:
         evaluates the full model once and stashes the ``gm/gds/gmb`` and
         capacitance stamp values for :meth:`_ss_quantities` (keyed by the
         solution vector; a cache, not an approximation).  Reverse-biased
-        devices fall back to the current-only evaluation.
+        devices fall back to the current-only evaluation.  Sparse-assembly
+        systems multiply by the CSC ``G``, never the dense array.
         """
-        f = self.G @ x - source_scale * self.b_dc
+        G = (self.sparse_state.matrix(self._sparse_G_data())
+             if self.sparse else self.G)
+        f = G @ x - source_scale * self.b_dc
         dev, ws = self._dev, self._ws
         if dev is None:
             return f

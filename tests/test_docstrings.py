@@ -22,6 +22,7 @@ import repro
 #: hot modules: process plumbing, the sparse backend, and the measurement
 #: pipeline every topology's specs now flow through).
 STRICT_MODULES = (
+    "repro.sim.condense",
     "repro.sim.faults",
     "repro.sim.krylov",
     "repro.sim.parallel",
