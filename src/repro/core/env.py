@@ -80,6 +80,8 @@ class SizingEnv(Env):
         self._indices: np.ndarray | None = None
         self._observed: dict[str, float] | None = None
         self._target: dict[str, float] | None = None
+        #: ``specs.normalize(_target)``, fixed for the whole episode.
+        self._target_obs: np.ndarray | None = None
         self._steps = 0
 
     # -- episode control ----------------------------------------------------
@@ -92,6 +94,7 @@ class SizingEnv(Env):
             self._target = dict(self.training_targets[pick])
         else:
             self._target = self.specs.sample_target(self.rng)
+        self._target_obs = self.specs.normalize(self._target)
         if self.config.random_start:
             self._indices = self.space.sample(self.rng)
         else:
@@ -128,7 +131,8 @@ class SizingEnv(Env):
     def finish_step(self, observed: dict[str, float]
                     ) -> tuple[np.ndarray, float, bool, dict]:
         """Consume the specs of the sizing chosen by :meth:`begin_step`."""
-        assert self._indices is not None and self._target is not None
+        if self._indices is None or self._target is None:
+            raise TrainingError("finish_step() before reset()")
         self._observed = observed
         breakdown = compute_reward(self._observed, self._target, self.specs,
                                    self.config.reward)
@@ -159,9 +163,10 @@ class SizingEnv(Env):
         return dict(self._observed) if self._observed is not None else None
 
     def _observation(self) -> np.ndarray:
-        assert self._observed is not None and self._target is not None
+        if self._observed is None or self._target_obs is None:
+            raise TrainingError("observation before reset()")
         return np.concatenate([
             self.specs.normalize(self._observed),
-            self.specs.normalize(self._target),
+            self._target_obs,
             self.space.normalize(self._indices),
         ])

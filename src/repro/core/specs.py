@@ -103,7 +103,7 @@ class Spec:
             value = math.log10(max(value, 1e-30))
             lo, hi = math.log10(lo), math.log10(hi)
         t = 2.0 * (value - lo) / (hi - lo) - 1.0
-        return float(np.clip(t, -3.0, 3.0))
+        return float(min(max(t, -3.0), 3.0))
 
     def denormalize(self, t: float) -> float:
         """Inverse of :meth:`normalize` (for t within [-1, 1])."""

@@ -9,6 +9,18 @@ logits:
 
 * ``d log p(a) / d z = onehot(a) - softmax(z)`` per block,
 * ``d H / d z_k = -p_k (log p_k + H)`` per block.
+
+Layout: the N blocks are held as one ``(B, N, K)`` array, ``K =
+max(nvec)``, so every operation is one numpy call over all blocks
+instead of a loop.  Blocks narrower than K are padded with ``-inf``
+logits (probability 0, log-probability stored as 0); the padded slots
+are masked out of sampling and dropped from the gradients.  Every
+number equals the per-block computation bit for bit: softmax sums run
+over one block's slots exactly as before (a padded 0 adds nothing),
+terms are summed across blocks in block order, and
+:meth:`MultiCategorical.sample` draws ``rng.random((N, B))``, the
+stream N per-block draws of ``(B, 1)`` produce.
+``tests/rl/test_flat_layout.py`` holds the per-block reference.
 """
 
 from __future__ import annotations
@@ -19,9 +31,15 @@ from repro.errors import TrainingError
 
 
 def log_softmax(z: np.ndarray) -> np.ndarray:
-    """Row-wise numerically-stable log softmax."""
+    """Numerically-stable log softmax over the last axis."""
     z = z - z.max(axis=-1, keepdims=True)
     return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+
+
+def _sum_blocks(terms: np.ndarray) -> np.ndarray:
+    """Sum ``(B, N)`` per-block terms over the blocks left to right, as a
+    per-block accumulation does (``np.sum`` pairs them from 8 blocks on)."""
+    return np.cumsum(terms, axis=1)[:, -1]
 
 
 class MultiCategorical:
@@ -34,71 +52,89 @@ class MultiCategorical:
             raise TrainingError(
                 f"logits shape {logits.shape} does not match nvec {self.nvec}")
         self.logits = logits
-        self._splits = np.cumsum(self.nvec)[:-1]
-        self._blocks = np.split(logits, self._splits, axis=1)
-        self._logp_blocks = [log_softmax(b) for b in self._blocks]
-        self._p_blocks = [np.exp(lp) for lp in self._logp_blocks]
+        b, n, k = len(logits), len(self.nvec), int(self.nvec.max())
+        #: ``(N, K)`` mask of the real slots; None when no block is padded.
+        self._valid: np.ndarray | None = None
+        if n * k == logits.shape[1]:
+            self._z = logits.reshape(b, n, k)
+        else:
+            self._valid = np.arange(k) < self.nvec[:, None]
+            self._z = np.full((b, n, k), -np.inf)
+            self._z[:, self._valid] = logits
+        self._logp = log_softmax(self._z)
+        self._p = np.exp(self._logp)
+        if self._valid is not None:
+            # p is 0 there; a 0 log keeps p * log p at 0 instead of NaN.
+            self._logp[:, ~self._valid] = 0.0
 
     @property
     def batch_size(self) -> int:
+        """Number of distributions B."""
         return self.logits.shape[0]
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
-        """Sample actions, shape (B, len(nvec))."""
-        cols = []
-        for p in self._p_blocks:
-            cdf = np.cumsum(p, axis=1)
-            u = rng.random((self.batch_size, 1))
-            cols.append((u > cdf[:, :-1]).sum(axis=1) if p.shape[1] > 1
-                        else np.zeros(self.batch_size, dtype=np.int64))
-        return np.stack([np.asarray(c, dtype=np.int64) for c in cols], axis=1)
+        """Sample actions, shape (B, len(nvec)).
+
+        Inverse-CDF sampling: the action is the number of cumulative
+        probabilities (all but a block's last) that the uniform draw
+        exceeds.
+        """
+        b, n, _ = self._p.shape
+        u = rng.random((n, b))
+        cdf = np.cumsum(self._p, axis=-1)[..., :-1]
+        if self._valid is not None:
+            cdf[:, ~self._valid[:, 1:]] = np.inf
+        return (u.T[..., None] > cdf).sum(axis=-1)
 
     def mode(self) -> np.ndarray:
         """Greedy (argmax) actions — used for deterministic deployment."""
-        return np.stack([b.argmax(axis=1) for b in self._blocks], axis=1)
+        return self._z.argmax(axis=-1)
 
     def log_prob(self, actions: np.ndarray) -> np.ndarray:
         """Joint log-probability, shape (B,)."""
         actions = self._check_actions(actions)
-        rows = np.arange(self.batch_size)
-        total = np.zeros(self.batch_size)
-        for d, lp in enumerate(self._logp_blocks):
-            total += lp[rows, actions[:, d]]
-        return total
+        return _sum_blocks(self._logp[self._slots(actions)])
 
     def entropy(self) -> np.ndarray:
         """Joint entropy (sum of block entropies), shape (B,)."""
-        total = np.zeros(self.batch_size)
-        for p, lp in zip(self._p_blocks, self._logp_blocks):
-            total += -(p * lp).sum(axis=1)
-        return total
+        return _sum_blocks(self._block_entropies())
 
     # -- gradients -----------------------------------------------------------
     def grad_log_prob(self, actions: np.ndarray) -> np.ndarray:
         """d log p(a) / d logits, shape (B, sum(nvec))."""
         actions = self._check_actions(actions)
-        rows = np.arange(self.batch_size)
-        grads = []
-        for d, p in enumerate(self._p_blocks):
-            g = -p.copy()
-            g[rows, actions[:, d]] += 1.0
-            grads.append(g)
-        return np.concatenate(grads, axis=1)
+        grad = -self._p
+        grad[self._slots(actions)] += 1.0
+        return self._flat(grad)
 
     def grad_entropy(self) -> np.ndarray:
         """d H / d logits, shape (B, sum(nvec))."""
-        grads = []
-        for p, lp in zip(self._p_blocks, self._logp_blocks):
-            h = -(p * lp).sum(axis=1, keepdims=True)
-            grads.append(-p * (lp + h))
-        return np.concatenate(grads, axis=1)
+        h = self._block_entropies()[..., None]
+        return self._flat(-self._p * (self._logp + h))
+
+    def _block_entropies(self) -> np.ndarray:
+        """Per-block entropies ``(B, N)``."""
+        return -(self._p * self._logp).sum(axis=-1)
+
+    @staticmethod
+    def _slots(actions: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Index of each chosen slot of a ``(B, N, K)`` array."""
+        b, n = actions.shape
+        return np.arange(b)[:, None], np.arange(n), actions
+
+    def _flat(self, grad: np.ndarray) -> np.ndarray:
+        """``(B, N, K)`` -> ``(B, sum(nvec))``, dropping padded slots."""
+        if self._valid is None:
+            return grad.reshape(len(grad), -1)
+        return grad[:, self._valid]
 
     def _check_actions(self, actions: np.ndarray) -> np.ndarray:
+        """Validate an action batch; returns it as int64."""
         actions = np.asarray(actions, dtype=np.int64)
         if actions.shape != (self.batch_size, len(self.nvec)):
             raise TrainingError(
                 f"actions shape {actions.shape}, expected "
                 f"({self.batch_size}, {len(self.nvec)})")
-        if np.any(actions < 0) or np.any(actions >= self.nvec[None, :]):
+        if (actions < 0).any() or (actions >= self.nvec).any():
             raise TrainingError("action index out of range")
         return actions

@@ -4,9 +4,25 @@ Implements exactly what PPO on a small MLP needs — nothing more.  Layers
 cache their forward inputs and accumulate parameter gradients on
 ``backward``; gradients are checked against finite differences in
 ``tests/rl/test_nn.py``.
+
+Parameter layout
+----------------
+An :class:`MLP` owns one contiguous parameter vector ``theta`` and one
+gradient vector ``grad``; every :class:`Linear`'s ``W``, ``b``, ``gW``
+and ``gb`` is a view into them, laid out ``W0, b0, W1, b1, ...``.  So
+:meth:`MLP.parameters` is the single pair ``(theta, grad)``, zeroing the
+gradients is one fill and :class:`Adam` updates a whole net in one
+elementwise pass.  The arithmetic is the per-array arithmetic: Adam is
+elementwise, and :func:`global_grad_norm` still sums each array's
+squares separately, in that order, so every number matches a per-array
+layout bit for bit (``tests/rl/test_flat_layout.py`` holds the per-array
+reference).  The views must never be rebound — a rebound ``W`` would
+silently stop training — so loading writes through them.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -70,7 +86,23 @@ class Linear(Layer):
         return grad_out @ self.W
 
     def parameters(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """``[(W, gW), (b, gb)]``."""
         return [(self.W, self.gW), (self.b, self.gb)]
+
+    def bind(self, theta: np.ndarray, grad: np.ndarray,
+             offset: int) -> list[slice]:
+        """Copy ``W`` and ``b`` into ``theta`` from ``offset`` on, then make
+        them (and ``gW``/``gb``, in a zeroed ``grad``) views there; returns
+        the slices of ``W`` and ``b``."""
+        w = slice(offset, offset + self.W.size)
+        b = slice(w.stop, w.stop + self.b.size)
+        theta[w] = self.W.ravel()
+        theta[b] = self.b
+        self.W = theta[w].reshape(self.W.shape)
+        self.b = theta[b]
+        self.gW = grad[w].reshape(self.W.shape)
+        self.gb = grad[b]
+        return [w, b]
 
 
 class Tanh(Layer):
@@ -95,7 +127,9 @@ class MLP(Layer):
     """Tanh MLP: ``sizes=[in, h1, ..., out]``; the final layer is linear.
 
     ``out_gain`` scales the last layer's orthogonal init (0.01 for policy
-    heads, 1.0 for value heads — the usual PPO recipe).
+    heads, 1.0 for value heads — the usual PPO recipe).  The parameters
+    live in one vector ``theta`` (gradients in ``grad``); see the module
+    docstring for the layout.
     """
 
     def __init__(self, sizes: list[int], rng: np.random.Generator,
@@ -103,12 +137,23 @@ class MLP(Layer):
         if len(sizes) < 2:
             raise TrainingError("MLP needs at least input and output sizes")
         self.layers: list[Layer] = []
+        linears: list[Linear] = []
         for i in range(len(sizes) - 1):
             last = i == len(sizes) - 2
             gain = out_gain if last else hidden_gain
-            self.layers.append(Linear(sizes[i], sizes[i + 1], gain, rng))
+            linears.append(Linear(sizes[i], sizes[i + 1], gain, rng))
+            self.layers.append(linears[-1])
             if not last:
                 self.layers.append(Tanh())
+        size = sum(layer.W.size + layer.b.size for layer in linears)
+        self.theta = np.empty(size)
+        self.grad = np.zeros(size)
+        #: Where each parameter array sits in ``theta``, in save order.
+        self.slices: list[slice] = []
+        offset = 0
+        for layer in linears:
+            self.slices.extend(layer.bind(self.theta, self.grad, offset))
+            offset = self.slices[-1].stop
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Run the stack layer by layer."""
@@ -123,54 +168,56 @@ class MLP(Layer):
         return grad_out
 
     def parameters(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        params = []
-        for layer in self.layers:
-            params.extend(layer.parameters())
-        return params
-
-    def zero_grad(self) -> None:
-        """Zero every layer's gradients."""
-        for layer in self.layers:
-            layer.zero_grad()
+        """The one flat pair ``[(theta, grad)]``."""
+        return [(self.theta, self.grad)]
 
     # -- serialisation -------------------------------------------------------
     def state_arrays(self) -> list[np.ndarray]:
-        """Flat list of the parameter arrays (save order)."""
-        return [p for p, _ in self.parameters()]
+        """The per-layer parameter arrays (views of ``theta``, save order)."""
+        return [p for layer in self.layers for p, _ in layer.parameters()]
 
     def load_state_arrays(self, arrays: list[np.ndarray]) -> None:
-        """Load arrays saved by :meth:`state_arrays`."""
-        params = self.parameters()
+        """Load arrays saved by :meth:`state_arrays` (written through the
+        views, so the layers stay bound to ``theta``)."""
+        params = self.state_arrays()
         if len(arrays) != len(params):
             raise TrainingError(
                 f"state mismatch: {len(arrays)} arrays for {len(params)} params")
-        for (p, _), a in zip(params, arrays):
+        for p, a in zip(params, arrays):
             if p.shape != a.shape:
                 raise TrainingError(f"shape mismatch {p.shape} vs {a.shape}")
             p[...] = a
 
 
-def global_grad_norm(params: list[tuple[np.ndarray, np.ndarray]]) -> float:
-    """L2 norm over all gradients."""
+def global_grad_norm(nets: Sequence[MLP]) -> float:
+    """L2 norm over all gradients of ``nets``.
+
+    Squares each net's gradient vector once but sums every parameter
+    array's squares separately, accumulating in layer order: one sum over
+    a whole net would pair the terms differently and change the clip
+    scale in the last bit.
+    """
     total = 0.0
-    for _, g in params:
-        total += float(np.sum(g * g))
+    for net in nets:
+        squares = net.grad * net.grad
+        for span in net.slices:
+            total += float(np.add.reduce(squares[span]))
     return float(np.sqrt(total))
 
 
-def clip_grad_norm(params: list[tuple[np.ndarray, np.ndarray]],
-                   max_norm: float) -> float:
+def clip_grad_norm(nets: Sequence[MLP], max_norm: float) -> float:
     """Scale all gradients so the global norm is at most ``max_norm``."""
-    norm = global_grad_norm(params)
+    norm = global_grad_norm(nets)
     if max_norm > 0.0 and norm > max_norm:
         scale = max_norm / (norm + 1e-12)
-        for _, g in params:
-            g *= scale
+        for net in nets:
+            net.grad *= scale
     return norm
 
 
 class Adam:
-    """Adam optimiser over a fixed parameter list."""
+    """Adam optimiser over a fixed list of (parameter, gradient) pairs —
+    one flat pair per :class:`MLP`."""
 
     def __init__(self, params: list[tuple[np.ndarray, np.ndarray]],
                  lr: float = 3e-4, beta1: float = 0.9, beta2: float = 0.999,

@@ -61,8 +61,15 @@ class ActorCritic:
 
     def act_single(self, obs: np.ndarray, rng: np.random.Generator,
                    deterministic: bool = False) -> np.ndarray:
-        """Action for one observation (deployment convenience)."""
-        return self.act(obs[None, :], rng, deterministic)[0][0]
+        """Action for one observation (deployment).
+
+        Runs only the policy net and the sampler: it draws from ``rng``
+        exactly as ``act(obs[None, :], rng, deterministic)[0][0]`` does,
+        so it returns the same action, without the value net and the
+        log-probability that deployment never reads.
+        """
+        dist = self.distribution(obs[None, :])
+        return (dist.mode() if deterministic else dist.sample(rng))[0]
 
     # -- serialisation --------------------------------------------------------
     def to_arrays(self) -> dict[str, np.ndarray]:
@@ -94,11 +101,12 @@ class ActorCritic:
 
     @classmethod
     def load(cls, path: str) -> "ActorCritic":
+        """Load a policy written by :meth:`save`."""
         return cls.from_arrays(np.load(path))
 
     def clone(self) -> "ActorCritic":
         """Deep copy (used to snapshot the best policy during training)."""
         twin = ActorCritic(self.obs_dim, self.nvec, self.hidden)
-        twin.pi.load_state_arrays([a.copy() for a in self.pi.state_arrays()])
-        twin.vf.load_state_arrays([a.copy() for a in self.vf.state_arrays()])
+        twin.pi.theta[...] = self.pi.theta
+        twin.vf.theta[...] = self.vf.theta
         return twin

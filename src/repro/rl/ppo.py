@@ -63,9 +63,21 @@ class PPOConfig:
             raise TrainingError("bad gamma/lambda")
         if self.clip_ratio <= 0.0:
             raise TrainingError("clip_ratio must be positive")
+        # Minibatches of fewer than two samples are skipped, so each of
+        # these would train nothing and report NaN losses.
+        if self.epochs < 1:
+            raise TrainingError(f"epochs must be >= 1, got {self.epochs}")
+        if self.minibatch_size < 2:
+            raise TrainingError(
+                f"minibatch_size must be >= 2, got {self.minibatch_size}")
+        if self.batch_size < 2:
+            raise TrainingError(
+                f"batch_size (n_envs * n_steps) must be >= 2, got "
+                f"{self.batch_size}")
 
     @property
     def batch_size(self) -> int:
+        """Samples per rollout, ``n_envs * n_steps``."""
         return self.n_envs * self.n_steps
 
 
@@ -99,6 +111,7 @@ class TrainingHistory:
 
     @property
     def final_mean_reward(self) -> float:
+        """Mean episode reward of the last iteration (-inf before any)."""
         return self.mean_reward[-1] if self.mean_reward else float("-inf")
 
     def reward_curve(self) -> list[tuple[int, float]]:
@@ -253,8 +266,7 @@ class PPOTrainer:
         dv = (cfg.vf_coef * 2.0 * verr / b)[:, None]
         self.policy.vf.backward(dv)
 
-        clip_grad_norm(self.policy.pi.parameters()
-                       + self.policy.vf.parameters(), cfg.max_grad_norm)
+        clip_grad_norm([self.policy.pi, self.policy.vf], cfg.max_grad_norm)
         self.optimizer.step()
         return policy_loss, value_loss, mean_entropy
 

@@ -99,11 +99,11 @@ class MultiDiscrete(Space):
         x = np.asarray(x)
         if x.shape != self.shape:
             return False
-        if not np.issubdtype(x.dtype, np.integer):
-            if not np.all(x == np.floor(x)):
+        if x.dtype.kind not in "iu":   # not a (signed or unsigned) integer
+            if not (x == np.floor(x)).all():
                 return False
             x = x.astype(np.int64)
-        return bool(np.all(x >= 0) and np.all(x < self.nvec))
+        return bool((x >= 0).all() and (x < self.nvec).all())
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"MultiDiscrete({self.nvec.tolist()})"

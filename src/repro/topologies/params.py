@@ -81,6 +81,7 @@ class ParameterSpace:
             raise TopologyError(f"duplicate parameter names: {names}")
         self.params: tuple[GridParam, ...] = tuple(params)
         self.counts = np.array([p.count for p in self.params], dtype=np.int64)
+        self._last = self.counts - 1
         # Vectorised value conversion (the per-evaluation hot path).
         self._starts = np.array([p.start for p in self.params])
         self._steps = np.array([p.step for p in self.params])
@@ -116,7 +117,8 @@ class ParameterSpace:
 
     def clip(self, indices: np.ndarray) -> np.ndarray:
         """Clip an index vector onto the grid (the paper's boundary rule)."""
-        return np.clip(np.asarray(indices, dtype=np.int64), 0, self.counts - 1)
+        return np.minimum(np.maximum(np.asarray(indices, dtype=np.int64), 0),
+                          self._last)
 
     def contains(self, indices: np.ndarray) -> bool:
         """True when ``indices`` is a valid on-grid index vector."""

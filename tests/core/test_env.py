@@ -83,6 +83,21 @@ class TestStep:
         with pytest.raises(TrainingError):
             env.step(np.array([1, 1]))
 
+    def test_finish_step_before_reset_raises(self, env):
+        # A raised error, not an assert: ``python -O`` strips asserts.
+        with pytest.raises(TrainingError, match="before reset"):
+            env.finish_step({"speed": 101.0, "power": 101.0})
+
+    def test_target_block_follows_each_reset(self, env):
+        first = {"speed": 150.0, "power": 200.0}
+        second = {"speed": 50.0, "power": 300.0}
+        obs = env.reset(target=first)
+        assert np.array_equal(obs[2:4], env.specs.normalize(first))
+        obs, _, _, _ = env.step(np.array([2, 1]))
+        assert np.array_equal(obs[2:4], env.specs.normalize(first))
+        obs = env.reset(target=second)
+        assert np.array_equal(obs[2:4], env.specs.normalize(second))
+
     def test_invalid_action_rejected(self, env):
         env.reset(target={"speed": 150.0, "power": 200.0})
         with pytest.raises(TrainingError):

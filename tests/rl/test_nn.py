@@ -62,7 +62,8 @@ class TestBackprop:
         net.backward(diff)
 
         eps = 1e-6
-        for p, g in net.parameters():
+        for p, g in [pair for layer in net.layers
+                     for pair in layer.parameters()]:
             it = np.nditer(p, flags=["multi_index"])
             for _ in range(min(p.size, 6)):  # spot-check a few entries
                 idx = it.multi_index
@@ -114,23 +115,22 @@ class TestGradUtils:
         for _, g in net.parameters():
             g.fill(1.0)
         n_params = sum(p.size for p, _ in net.parameters())
-        assert global_grad_norm(net.parameters()) == pytest.approx(
-            np.sqrt(n_params))
+        assert global_grad_norm([net]) == pytest.approx(np.sqrt(n_params))
 
     def test_clip_rescales(self, rng):
         net = MLP([2, 3, 1], rng)
         for _, g in net.parameters():
             g.fill(10.0)
-        clip_grad_norm(net.parameters(), 1.0)
-        assert global_grad_norm(net.parameters()) == pytest.approx(1.0, rel=1e-6)
+        clip_grad_norm([net], 1.0)
+        assert global_grad_norm([net]) == pytest.approx(1.0, rel=1e-6)
 
     def test_clip_leaves_small_gradients(self, rng):
         net = MLP([2, 3, 1], rng)
         for _, g in net.parameters():
             g.fill(1e-8)
-        before = global_grad_norm(net.parameters())
-        clip_grad_norm(net.parameters(), 1.0)
-        assert global_grad_norm(net.parameters()) == pytest.approx(before)
+        before = global_grad_norm([net])
+        clip_grad_norm([net], 1.0)
+        assert global_grad_norm([net]) == pytest.approx(before)
 
 
 class TestAdam:

@@ -64,6 +64,14 @@ class TestConfig:
             PPOConfig(gamma=1.5)
         with pytest.raises(TrainingError):
             PPOConfig(clip_ratio=0.0)
+        # Configurations whose every minibatch would be skipped.
+        for field, bad in (("epochs", dict(epochs=0)),
+                           ("minibatch_size", dict(minibatch_size=1)),
+                           ("minibatch_size", dict(minibatch_size=0)),
+                           ("batch_size", dict(n_envs=1, n_steps=1))):
+            with pytest.raises(TrainingError, match=f"^{field}"):
+                PPOConfig(**bad)
+        PPOConfig(n_envs=1, n_steps=2, epochs=1, minibatch_size=2)
 
     def test_batch_size(self):
         assert _config().batch_size == 64

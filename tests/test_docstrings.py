@@ -28,6 +28,8 @@ STRICT_MODULES = (
     "repro.sim.parallel",
     "repro.sim.sparse",
     "repro.rl.parallel",
+    "repro.rl.nn",
+    "repro.rl.distributions",
     "repro.measure.pipeline",
     "repro.topologies.base",
     "repro.zoo.schema",
