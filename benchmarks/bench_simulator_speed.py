@@ -10,7 +10,6 @@ These use the pytest-benchmark timer properly (many rounds) since a single
 evaluation is fast.
 """
 
-import os
 import time
 
 import numpy as np
@@ -194,55 +193,6 @@ def test_corner_stack_speed():
     publish("corner_stack.txt", table)
     publish_json("corner_sweep", {r["topology"]: r for r in results})
     assert all(r["speedup"] > 1.0 for r in results)
-
-
-def shard_scaling(n_designs: int = 32, shard_counts=(1, 2, 4),
-                  repeats: int = 3) -> dict:
-    """``evaluate_batch`` throughput as ``REPRO_SHARDS`` grows."""
-    simulator = SchematicSimulator(TwoStageOpAmp(), cache=False)
-    rng = np.random.default_rng(9)
-    designs = np.stack([simulator.parameter_space.sample(rng)
-                        for _ in range(n_designs)])
-    saved = os.environ.get("REPRO_SHARDS")
-    curve: dict[str, float] = {}
-    try:
-        for n in shard_counts:
-            os.environ["REPRO_SHARDS"] = str(n)
-            simulator.evaluate_batch(designs[:4])  # spawn + warm the pool
-            best = float("inf")
-            for _ in range(repeats):
-                t0 = time.perf_counter()
-                simulator.evaluate_batch(designs)
-                best = min(best, time.perf_counter() - t0)
-            curve[str(n)] = n_designs / best
-            simulator.close_shard_pool()
-    finally:
-        simulator.close_shard_pool()
-        if saved is None:
-            os.environ.pop("REPRO_SHARDS", None)
-        else:
-            os.environ["REPRO_SHARDS"] = saved
-    return {
-        "topology": "two_stage_opamp",
-        "n_designs": n_designs,
-        "cores": os.cpu_count(),
-        "evals_per_s": curve,
-    }
-
-
-def test_shard_scaling():
-    """Shard-pool scaling curve (speedup needs real cores: a 1-core box
-    records the overhead honestly, a multicore box the speedup)."""
-    result = shard_scaling()
-    rows = [[f"REPRO_SHARDS={n}", f"{rate:,.0f}"]
-            for n, rate in result["evals_per_s"].items()]
-    table = ascii_table(
-        ["configuration", "evals/sec"], rows,
-        title=(f"evaluate_batch({result['n_designs']}) shard scaling "
-               f"({result['cores']} cores)"))
-    publish("shard_scaling.txt", table)
-    publish_json("shard_scaling", result)
-    assert result["evals_per_s"]["1"] > 0
 
 
 def test_action_space_cardinalities(benchmark):

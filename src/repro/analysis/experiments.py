@@ -126,15 +126,6 @@ EXPERIMENTS: dict[str, Experiment] = {
             ("repro.measure.pipeline", "repro.topologies.base",
              "repro.topologies.ota_chain")),
         Experiment(
-            "fault_recovery", "Self-healing evaluation under injected faults",
-            "Beyond the paper: the supervised shard pool (REPRO_TIMEOUT/"
-            "REPRO_RETRIES) absorbs worker kills, hangs and poison "
-            "designs — batches complete bitwise-identically via respawn "
-            "and retry; this bench measures the recovery latency and "
-            "throughput cost under deterministic REPRO_FAULTS profiles",
-            "benchmarks/bench_fault_recovery.py",
-            ("repro.sim.parallel", "repro.sim.faults")),
-        Experiment(
             "sparse_engine", "Sparse vs dense engine on large netlists",
             "Beyond the paper: the OTA repeater chain scenario family "
             "(>=200 MNA unknowns) runs >=3x faster on the SuperLU "

@@ -109,8 +109,7 @@ class TargetObjective:
 
     def evaluate_population(self, population) -> np.ndarray:
         """Evaluate a whole population through the batched engine (which
-        stacks the designs — and shards them across worker processes when
-        ``REPRO_SHARDS`` is set).
+        stacks the designs into one solve).
 
         Returns the fitness array (one entry per individual) and keeps the
         scalar call's control flow: :class:`GoalReached` is raised when an

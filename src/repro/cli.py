@@ -353,16 +353,6 @@ def cmd_experiments(_args: argparse.Namespace) -> int:
 KNOBS = [
     ("REPRO_ENGINE", "auto|dense|sparse|iterative", "auto",
      "linear-algebra backend (auto: picked by MNA unknown count)"),
-    ("REPRO_SHARDS", "int >= 1", "1",
-     "multicore shard-pool workers for batched evaluation"),
-    ("REPRO_TIMEOUT", "seconds >= 0", "0",
-     "per-attempt shard deadline (0 disables; hung workers get killed)"),
-    ("REPRO_RETRIES", "int >= 0", "2",
-     "extra attempts per shard node before bisection/quarantine"),
-    ("REPRO_RETRY_BACKOFF", "seconds >= 0", "0.05",
-     "base exponential backoff between shard retry attempts"),
-    ("REPRO_FAULTS", "profile", "",
-     "deterministic fault injection (kill/exc/hang/delay/poison)"),
     ("REPRO_ZOO_DIR", "dir[:dir...]", "",
      "user scenario-zoo directories (repro zoo; YAML/JSON declarations)"),
     ("AUTOCKT_FULL", "0|1", "0",

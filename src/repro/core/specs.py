@@ -125,10 +125,10 @@ class Spec:
 def failure_measurements(spec_space: "SpecSpace") -> dict[str, float]:
     """Pessimistic spec values charged to designs that produced none.
 
-    Non-convergent solves, measurement failures and quarantined poison
-    designs (see :mod:`repro.sim.faults`) all pay the same penalty: each
-    lower-bound spec reports far below its sampling range, each
-    upper-bound/minimise spec far above it, and range specs report zero
+    Non-convergent solves, measurement failures and designs quarantined
+    after a solve fault (see :mod:`repro.sim.faults`) all pay the same
+    penalty: each lower-bound spec reports far below its sampling range,
+    each upper-bound/minimise spec far above it, and range specs report zero
     — so optimisers always receive a numeric, heavily penalised result
     and the reward surface stays finite.  This is the single source of
     the penalty row; :meth:`repro.topologies.base.Topology.failure_measurement`

@@ -46,47 +46,15 @@ class TrainingError(ReproError):
 
 
 class EvaluationFault(TrainingError):
-    """A batched evaluation hit an infrastructure fault (worker death,
-    timeout, solve crash) rather than a configuration error.
+    """A batched evaluation hit a solve fault rather than a configuration
+    error.
 
-    Subclasses :class:`TrainingError` so every pre-supervision caller
-    that caught training failures keeps working; the supervised
-    :class:`~repro.sim.parallel.ShardPool` additionally reads the
-    ``retryable`` class attribute to decide between re-running the work
-    on a healthy worker and giving up.
+    Subclasses :class:`TrainingError` so every caller that catches
+    training failures keeps working.  ``CircuitSimulator`` bisects a
+    batch that raises it until the faulting design is isolated, and
+    quarantines that design with pessimistic ``failure_measurements()``
+    while the rest of the batch keeps its normal results.
     """
-
-    #: Whether the supervisor may transparently retry the failed work.
-    retryable: bool = True
-
-
-class WorkerCrashFault(EvaluationFault):
-    """A worker process died mid-evaluation (OOM, native crash, SIGKILL).
-
-    Retryable: the batched engine recomputes from canonical warm seeds,
-    so a respawned worker reproduces the lost shard bitwise."""
-
-
-class TimeoutFault(EvaluationFault):
-    """A worker blew its per-attempt deadline (``REPRO_TIMEOUT``) and was
-    killed by the supervisor.  Retryable — a transient stall (page cache,
-    CPU contention) usually clears on the respawned worker."""
-
-
-class SolveFault(EvaluationFault):
-    """The solve itself raised inside a worker.  Retryable in the sense
-    that the supervisor bisects the shard to isolate the offending
-    design(s) rather than re-running the same doomed work verbatim."""
-
-
-class PoisonDesignFault(EvaluationFault):
-    """A single design keeps crashing or timing out after isolation.
-
-    Not retryable: the supervisor quarantines the design — it is charged
-    pessimistic ``failure_measurements()`` like a non-convergent sizing —
-    and the rest of the batch proceeds normally."""
-
-    retryable = False
 
 
 class LvsError(ReproError):

@@ -1,13 +1,13 @@
 """Parsing of the ``REPRO_*`` environment knobs.
 
-The forgiving knob readers (engine selection, shard count, supervisor
-policy) go through :func:`env_knob`.  A value the reader cannot use
-falls back to the built-in default, so a typo never turns a working run
-into a crash, but it never does so silently either: the first time a
-(variable, value) pair is rejected, a :class:`RuntimeWarning` names the
-variable, the rejected value and the value used instead.  Unset and
-empty variables mean "use the default" and stay silent.  (The fault
-profile and the zoo directories are strict and raise instead.)
+The forgiving knob reader (engine selection) goes through
+:func:`env_knob`.  A value the reader cannot use falls back to the
+built-in default, so a typo never turns a working run into a crash, but
+it never does so silently either: the first time a (variable, value)
+pair is rejected, a :class:`RuntimeWarning` names the variable, the
+rejected value and the value used instead.  Unset and empty variables
+mean "use the default" and stay silent.  (The zoo directories are
+strict and raise instead.)
 """
 
 from __future__ import annotations
@@ -49,21 +49,5 @@ def one_of(*choices: str) -> Callable[[str], str]:
         value = raw.lower()
         if value not in choices:
             raise ValueError(f"expected one of {'|'.join(choices)}")
-        return value
-    return parse
-
-
-def at_least(cast: Callable[[str], T], minimum) -> Callable[[str], T]:
-    """Parser accepting a number (``int`` or ``float`` via ``cast``) not
-    below ``minimum``."""
-    kind = "an integer" if cast is int else "a number"
-
-    def parse(raw: str) -> T:
-        try:
-            value = cast(raw)
-        except ValueError:
-            raise ValueError(f"expected {kind} >= {minimum}") from None
-        if value < minimum:
-            raise ValueError(f"expected {kind} >= {minimum}")
         return value
     return parse

@@ -194,8 +194,6 @@ class PexSimulator(CircuitSimulator):
         self.corners = corners if corners is not None else signoff_corners()
         if not self.corners:
             raise MeasurementError("PexSimulator needs at least one corner")
-        self._topology_factory = topology_factory
-        self._rules = rules
         self.extractor = ParasiticExtractor(rules)
         self._topologies: list[Topology] = [
             corner.apply(topology_factory) for corner in self.corners]
@@ -237,29 +235,14 @@ class PexSimulator(CircuitSimulator):
     # -- evaluation -----------------------------------------------------------
     def evaluate_batch(self, indices_2d: np.ndarray) -> list[dict[str, float]]:
         """Evaluate B sizings across all corners in one stacked solve,
-        sharded across worker processes when ``REPRO_SHARDS`` asks for
-        them."""
-        return self._evaluate_batch_cached(
-            indices_2d, self._fresh_batch, self._cache)
+        with faulting designs quarantined (see
+        :meth:`~repro.topologies.base.CircuitSimulator._recover_batch`)."""
+        return self._evaluate_batch_cached(indices_2d)
 
     def _inprocess_batch(self, values_list: list[dict[str, float]]
                          ) -> list[dict[str, float]]:
         """Batched engine entry for distinct cache misses (corner stack)."""
         return self._evaluate_fresh_batch(values_list)
-
-    def shard_factory(self):
-        """Picklable replica recipe for shard workers, or None.
-
-        Topology classes and corner-kwargs factories (compiled zoo
-        scenarios declare ``supports_corner_kwargs`` and pickle whole —
-        the same duck check as :meth:`CornerSpec.apply`) shard; ad-hoc
-        closures are not spawn-safe and keep the in-process path.
-        """
-        factory = self._topology_factory
-        if not (isinstance(factory, type)
-                or getattr(factory, "supports_corner_kwargs", False)):
-            return None  # closure factories are not spawn-safe
-        return _PexShardFactory(factory, list(self.corners), self._rules)
 
     def _evaluate_fresh(self, indices: np.ndarray) -> dict[str, float]:
         """Worst-case specs of one clipped sizing across all corners (a
@@ -492,19 +475,3 @@ class PexSimulator(CircuitSimulator):
         values = self.parameter_space.values(self.parameter_space.clip(indices))
         return generate_layout(self._topologies[0].build(values))
 
-
-@dataclasses.dataclass
-class _PexShardFactory:
-    """Picklable recipe rebuilding a :class:`PexSimulator` replica in a
-    shard worker (caches off: the parent dedupes before sharding).
-
-    ``topology_factory`` is a :class:`Topology` subclass or a picklable
-    corner-kwargs factory (e.g. a compiled zoo scenario)."""
-
-    topology_factory: object
-    corners: list[CornerSpec]
-    rules: ExtractionRules | None
-
-    def __call__(self) -> PexSimulator:
-        return PexSimulator(self.topology_factory, corners=self.corners,
-                            rules=self.rules, cache=False)

@@ -8,9 +8,8 @@ with a batch — without process overhead, since each env step is already a
 fast in-process simulation here).
 
 When a shared ``batch_simulator`` is given, every vectorised step is one
-``evaluate_batch`` call — which means rollouts inherit both the stacked
-engine and, with ``REPRO_SHARDS`` set, the multicore shard pool
-(:mod:`repro.sim.parallel`) without any changes here.
+``evaluate_batch`` call, so rollouts inherit the stacked engine and its
+in-process quarantine of faulting designs without any changes here.
 """
 
 from __future__ import annotations
@@ -65,7 +64,7 @@ class VectorEnv:
         simulations.  Each call's
         :class:`~repro.sim.faults.BatchReport` is folded into
         :attr:`fault_stats`, so faults the simulator absorbed
-        (quarantined designs, respawned shard workers) stay visible.
+        (bisected sub-batches, quarantined designs) stay visible.
     """
 
     def __init__(self, envs: list[Env], batch_simulator=None):

@@ -5,12 +5,12 @@ in parallel", quoting 1.3 hours of wall clock on an 8-core CPU for the
 two-stage op-amp.  :class:`ParallelVectorEnv` reproduces that axis with
 the standard library: each environment lives in its own worker process and
 the main process batches policy queries across workers.  The process/pipe
-plumbing is :class:`repro.sim.parallel.WorkerGroup` — the same machinery
-behind the simulator shard pool — so the start method resolves portably:
-``fork`` where the platform has it (closure factories welcome), ``spawn``
-everywhere else, in which case the environment factories must be
-picklable (a topology class, a ``functools.partial``, or any module-level
-callable qualifies; lambdas closing over live simulators do not).
+plumbing is :class:`WorkerGroup`, and the start method resolves portably
+(:func:`resolve_context`): ``fork`` where the platform has it (closure
+factories welcome), ``spawn`` everywhere else, in which case the
+environment factories must be picklable (a topology class, a
+``functools.partial``, or any module-level callable qualifies; lambdas
+closing over live simulators do not).
 
 The interface matches :class:`~repro.rl.env.VectorEnv` exactly — same
 ``reset`` / ``step`` signatures, same auto-reset semantics with
@@ -23,26 +23,142 @@ synthetic truncated episode (``done`` True, zero reward,
 ``info["worker_fault"]``) and training continues — the healed faults
 are listed in ``fault_events``.  Only a worker that dies *again* before
 delivering a single successful reply (a broken factory) tears the group
-down with a :class:`~repro.errors.TrainingError`.
+down with a :class:`~repro.errors.TrainingError`, and so does a worker
+that dies before reporting its spaces.
 
 Parallelism only pays when a single environment step is expensive (PEX
 simulation, big transient sweeps); for the microsecond-scale schematic
-steps in this reproduction the in-process :class:`VectorEnv` is usually
-faster — and scales across cores anyway through the simulator shard pool
-(``REPRO_SHARDS``), which parallelises the batched *solves* instead of
-the environments.  ``benchmarks/bench_parallel_scaling.py`` quantifies
-the crossover.
+steps in this reproduction the in-process :class:`VectorEnv`, which
+evaluates all envs' sizings in one stacked solve, is usually faster.
+``benchmarks/bench_parallel_scaling.py`` quantifies the crossover.
 """
 
 from __future__ import annotations
 
+import multiprocessing as mp
 from typing import Callable
 
 import numpy as np
 
 from repro.errors import TrainingError
 from repro.rl.env import Env, EpisodeStats
-from repro.sim.parallel import WorkerGroup
+
+
+def resolve_context(name: str | None = None) -> str:
+    """Pick a multiprocessing start method.
+
+    ``fork`` where the platform offers it (cheapest, tolerates closure
+    factories), ``spawn`` otherwise — and any explicit ``fork`` request is
+    downgraded to ``spawn`` on fork-less platforms instead of failing.
+    """
+    available = mp.get_all_start_methods()
+    if name:
+        if name == "fork" and "fork" not in available:
+            return "spawn"
+        return name
+    return "fork" if "fork" in available else "spawn"
+
+
+class WorkerGroup:
+    """Daemon worker processes, one pipe each, with orderly shutdown.
+
+    The plumbing behind :class:`ParallelVectorEnv`: workers receive
+    ``(pipe_end, *args)`` and speak a ``(command, payload)`` protocol in
+    which ``("close", None)`` is answered once and ends the worker.
+    ``args_list`` must be picklable under the resolved start method.
+
+    The group keeps its spawn recipe, so a dead slot can be
+    :meth:`respawn`-ed in place; :meth:`close` is idempotent and never
+    raises on already-dead children (every per-worker step is
+    individually guarded, with a terminate/kill escalation for stuck or
+    hung workers).
+    """
+
+    def __init__(self, target, args_list, context: str | None = None):
+        if not args_list:
+            raise TrainingError("WorkerGroup needs at least one worker")
+        self._target = target
+        self._args_list = list(args_list)
+        self._ctx = mp.get_context(resolve_context(context))
+        self.remotes = []
+        self.processes = []
+        for args in self._args_list:
+            remote, process = self._spawn(args)
+            self.remotes.append(remote)
+            self.processes.append(process)
+        self.closed = False
+
+    def _spawn(self, args):
+        """Start one worker process; returns its (remote, process)."""
+        parent, child = self._ctx.Pipe()
+        process = self._ctx.Process(target=self._target,
+                                    args=(child, *args), daemon=True)
+        process.start()
+        child.close()
+        return parent, process
+
+    def __len__(self) -> int:
+        return len(self.remotes)
+
+    def respawn(self, index: int):
+        """Replace worker ``index`` with a fresh process (same recipe).
+
+        The old process is reaped (terminate, then kill if stuck) and
+        its pipe closed — any replies it buffered die with the pipe, so
+        a respawned slot can never deliver stale replies.  Returns the
+        new parent pipe end.
+        """
+        if self.closed:
+            raise TrainingError("cannot respawn a worker in a closed group")
+        try:
+            self.remotes[index].close()
+        except OSError:  # pragma: no cover - already closed
+            pass
+        self._reap(self.processes[index])
+        remote, process = self._spawn(self._args_list[index])
+        self.remotes[index] = remote
+        self.processes[index] = process
+        return remote
+
+    @staticmethod
+    def _reap(process) -> None:
+        """Join a worker process, escalating terminate -> kill."""
+        process.join(timeout=5.0)
+        if process.is_alive():
+            process.terminate()
+            process.join(timeout=2.0)
+        if process.is_alive():  # pragma: no cover - stuck worker guard
+            process.kill()
+            process.join(timeout=2.0)
+
+    def close(self) -> None:
+        """Shut every worker down and reap it (idempotent, never raises).
+
+        Every per-worker step is guarded individually: a child that
+        already died (so its pipe raises on send), never answers the
+        close handshake (hung), or ignores SIGTERM cannot prevent the
+        remaining workers from being torn down cleanly.
+        """
+        if self.closed:
+            return
+        self.closed = True
+        for remote in self.remotes:
+            try:
+                remote.send(("close", None))
+            except (BrokenPipeError, OSError):
+                continue
+        for remote in self.remotes:
+            try:
+                if remote.poll(1.0):   # hung workers never answer
+                    remote.recv()
+            except (EOFError, OSError):
+                pass
+            try:
+                remote.close()
+            except OSError:  # pragma: no cover - already closed
+                pass
+        for process in self.processes:
+            self._reap(process)
 
 
 def _worker(remote, env_fn: Callable[[], Env]) -> None:
@@ -106,8 +222,15 @@ class ParallelVectorEnv:
         self._group = WorkerGroup(_worker, [(fn,) for fn in env_fns],
                                   context=context)
         self._remotes = self._group.remotes
-        self._remotes[0].send(("spaces", None))
-        self.observation_space, self.action_space = self._remotes[0].recv()
+        try:
+            self._remotes[0].send(("spaces", None))
+            self.observation_space, self.action_space = (
+                self._remotes[0].recv())
+        except (EOFError, OSError):
+            self._group.close()
+            raise TrainingError(
+                "environment worker 0 died before reporting its spaces "
+                "(does its env factory raise?)") from None
         #: Human-readable record of every worker fault healed so far.
         self.fault_events: list[str] = []
         # Workers healed since their last successful reply: a second

@@ -171,9 +171,9 @@ class PPOTrainer:
         self._last_mean_reward = float("-inf")
         self._ent_coef = self.config.ent_coef
         #: Mirror of the vector env's cumulative supervision counters
-        #: (shard faults/retries/respawns/quarantines, healed env
-        #: workers) — updated after every rollout so operators can see
-        #: what training survived.  Deliberately kept out of
+        #: (faults/retries/quarantines, healed env workers) — updated
+        #: after every rollout so operators can see what training
+        #: survived.  Deliberately kept out of
         #: :class:`TrainingHistory` (whose schema benchmark artifacts
         #: pin).
         self.fault_stats: dict[str, int] = {}

@@ -20,9 +20,9 @@ batched solves):
   time);
 * :mod:`repro.sim.transient` integrates the full nonlinear equations
   (single-design and stacked-batch engines);
-* :mod:`repro.sim.parallel` shards batched evaluation across worker
-  processes (``REPRO_SHARDS``), sharing index/spec arrays through
-  ``multiprocessing.shared_memory``;
+* :mod:`repro.sim.faults` holds the supervision records of batched
+  evaluation (per-batch :class:`~repro.sim.faults.BatchReport`,
+  quarantine counters);
 * :mod:`repro.sim.engine` selects the linear-algebra backend per system
   (``REPRO_ENGINE=auto|dense|sparse|iterative``, double-thresholded in
   ``auto`` by unknown count);

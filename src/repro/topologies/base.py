@@ -23,7 +23,6 @@ from __future__ import annotations
 import abc
 import dataclasses
 import time
-from typing import Callable
 
 import numpy as np
 
@@ -32,8 +31,7 @@ from repro.circuits.technology import Corner, Technology
 from repro.core.specs import SpecSpace, failure_measurements
 from repro.errors import (ConvergenceError, EvaluationFault,
                           MeasurementError, TopologyError, TrainingError)
-from repro.sim.faults import (BatchReport, FaultRecord, active_profile,
-                              check_poison)
+from repro.sim.faults import BatchReport, FaultRecord
 from repro.sim.batch import SystemStack, solve_dc_batch
 from repro.sim.cache import SimulationCache, SimulationCounter, sizing_key
 from repro.sim.dc import OperatingPoint, solve_dc
@@ -48,14 +46,6 @@ class Topology(abc.ABC):
 
     #: Subclasses set a short identifier, e.g. "tia".
     name: str = "topology"
-
-    #: When this instance was built by a compiled zoo scenario
-    #: (:class:`repro.zoo.loader.CompiledScenario`), the scenario recipe
-    #: — the picklable ``(technology, corner, temperature)`` factory the
-    #: shard/PVT machinery must rebuild from, so declaration overrides
-    #: (ctor arguments, attribute patches, narrowed grids) survive the
-    #: round trip to a worker process.  None for module-built instances.
-    zoo_recipe = None
 
     def __init__(self, technology: Technology | None = None,
                  corner: Corner = Corner.TT,
@@ -396,34 +386,22 @@ class _BatchPlan:
 class CircuitSimulator:
     """What optimisers see: index-vector evaluation with sim accounting.
 
-    Batched evaluation can be sharded across worker processes: when the
-    ``REPRO_SHARDS`` environment variable asks for more than one shard
-    and the simulator provides a picklable :meth:`shard_factory`, the
-    distinct cache misses of every ``evaluate_batch`` call are split over
-    a persistent :class:`~repro.sim.parallel.ShardPool` (single-process
-    fallback otherwise).  Worker results are bitwise identical to the
-    in-process engine — each worker runs the same batched solve from the
-    same canonical warm seeds.
-
-    Both paths are *supervised*: a dead/hung shard worker is respawned
-    and its shard re-run (bitwise identical — canonical warm seeds), and
-    a design whose solve keeps crashing is bisected out and quarantined
-    with pessimistic :meth:`failure_measurements` instead of failing the
-    batch (the in-process engine applies the same bisection directly).
-    Each batched call publishes a
-    :class:`~repro.sim.faults.BatchReport` as :attr:`last_batch_report`
-    describing any faults, retries and quarantines it absorbed.
+    Batched evaluation is *supervised* in process: a design whose solve
+    keeps raising is bisected out of its batch and quarantined with
+    pessimistic :meth:`failure_measurements` instead of failing the
+    batch, and the healthy designs keep their normal results.  Each
+    batched call publishes a :class:`~repro.sim.faults.BatchReport` as
+    :attr:`last_batch_report` describing any faults and quarantines it
+    absorbed.
     """
 
     parameter_space: ParameterSpace
     spec_space: SpecSpace
     counter: SimulationCounter
-    _pool = None
     _cache = None
     #: Supervision record of the most recent batched evaluation
     #: (:class:`~repro.sim.faults.BatchReport`; None before the first).
     last_batch_report = None
-    _fresh_report = None
 
     def evaluate(self, indices: np.ndarray) -> dict[str, float]:
         """Simulate the sizing at grid ``indices`` and return its specs.
@@ -475,8 +453,7 @@ class CircuitSimulator:
         bogus zero-parameter design — so empty batches are normalised to
         ``(0, P)`` explicitly: they flow through the pipeline as a real
         (trivial) batch and come back as an empty result with a clean,
-        well-formed report instead of crashing in the engine or the
-        shared-memory layer."""
+        well-formed report instead of crashing in the engine."""
         indices_2d = np.asarray(indices_2d, dtype=np.int64)
         if indices_2d.size == 0:
             return indices_2d.reshape(0, len(self.parameter_space.names))
@@ -542,32 +519,32 @@ class CircuitSimulator:
                 plan.results[r] = dict(spec)
         return plan.results
 
-    def _evaluate_batch_cached(self, indices_2d: np.ndarray, fresh_fn,
-                               cache) -> list[dict[str, float]]:
+    def _evaluate_batch_cached(self, indices_2d: np.ndarray
+                               ) -> list[dict[str, float]]:
         """Shared cache/counting front-end for batched evaluation.
 
-        ``fresh_fn(values_list) -> list[dict]`` computes the distinct
-        cache misses (see :meth:`_plan_batch` / :meth:`_finish_batch`).
-        The fresh path's supervision record is republished as
+        The distinct cache misses (see :meth:`_plan_batch` /
+        :meth:`_finish_batch`) are computed by :meth:`_recover_batch`,
+        whose supervision record is republished as
         :attr:`last_batch_report` in caller-batch coordinates.
         """
+        cache = self._cache
         plan = self._plan_batch(indices_2d, cache)
-        self._fresh_report = None
-        specs = fresh_fn(plan.fresh_values) if plan.fresh_values else []
+        specs, fresh = (self._recover_batch(plan.fresh_values)
+                        if plan.fresh_values else ([], None))
         results = self._finish_batch(plan, specs, cache)
-        self._publish_report(plan, len(results))
+        self._publish_report(plan, fresh, len(results))
         return results
 
-    def _publish_report(self, plan: _BatchPlan, n_designs: int) -> None:
+    def _publish_report(self, plan: _BatchPlan, fresh: BatchReport | None,
+                        n_designs: int) -> None:
         """Translate the fresh-path report into caller coordinates.
 
-        ``_fresh_report`` (set by :meth:`_shard_eval` or
-        :meth:`_recover_batch`) is indexed by *fresh* row; the cache
-        front-end may have deduped, so each fresh row is mapped back to
-        the caller rows it served.  All-cache-hit batches publish a
-        clean report — nothing was at risk.
+        ``fresh`` (from :meth:`_recover_batch`) is indexed by *fresh*
+        row; the cache front-end may have deduped, so each fresh row is
+        mapped back to the caller rows it served.  All-cache-hit batches
+        (``fresh`` None) publish a clean report — nothing was at risk.
         """
-        fresh = self._fresh_report
         if fresh is None:
             report = BatchReport(n_designs)
         else:
@@ -587,9 +564,7 @@ class CircuitSimulator:
 
     def _krylov_systems(self) -> list:
         """Systems whose iterative solve counters this batch should
-        drain into its report (empty for non-engine simulators; in
-        sharded runs the workers' counters stay in their own processes
-        — only in-process solves are surfaced)."""
+        drain into its report (empty for non-engine simulators)."""
         return []
 
     def failure_measurements(self) -> dict[str, float]:
@@ -602,55 +577,36 @@ class CircuitSimulator:
         the engine-backed simulators forward to their topology so the
         RL environment can clear episode state between designs)."""
 
-    # -- sharding -------------------------------------------------------------
-    def shard_factory(self):
-        """Picklable zero-argument factory building an equivalent simulator
-        in a worker process (None = sharding unsupported)."""
-        return None
-
     def _inprocess_batch(self, values_list: list[dict[str, float]]
                          ) -> list[dict[str, float]]:
-        """Batched engine entry for distinct fresh values (no sharding).
+        """Batched engine entry for distinct fresh values.
 
         Overridden by the simulators with a vectorised engine; the base
-        simulator has none, so the batched shard path refuses rather
-        than silently degrade."""
+        simulator has none, so the batched path refuses rather than
+        silently degrade."""
         raise TrainingError(
             f"{type(self).__name__} has no batched engine")
 
-    def _fresh_batch(self, values_list: list[dict[str, float]]
-                     ) -> list[dict[str, float]]:
-        """Compute distinct cache misses: sharded when configured,
-        in-process (with the same quarantine semantics) otherwise."""
-        sharded = self._shard_eval(values_list)
-        if sharded is not None:
-            return sharded
-        return self._recover_batch(values_list)
-
     def _recover_batch(self, values_list: list[dict[str, float]]
-                       ) -> list[dict[str, float]]:
-        """In-process engine run with poison quarantine (no pool).
+                       ) -> tuple[list[dict[str, float]], BatchReport]:
+        """Compute distinct cache misses, quarantining faulting designs.
 
-        Mirrors the shard supervisor's contract on the single-process
-        path: an evaluation fault (injected poison, a numerical crash
-        escaping the solver's own fallbacks) bisects the batch until the
-        offending design is isolated, which is then charged
+        Runs :meth:`_inprocess_batch`; an evaluation fault (a numerical
+        crash escaping the solver's own fallbacks) bisects the batch
+        until the offending design is isolated, which is then charged
         :meth:`failure_measurements` — healthy designs in the same batch
-        are re-run in their sub-batches and keep normal results.  The
-        resulting :class:`~repro.sim.faults.BatchReport` lands in
-        ``_fresh_report`` for :meth:`_publish_report`.
+        are re-run in their sub-batches and keep normal results.
+        Returns the specs and the batch's
+        :class:`~repro.sim.faults.BatchReport` in fresh-row coordinates.
         """
         report = BatchReport(len(values_list))
-        poison = tuple(d for d in active_profile() if d.kind == "poison")
         t0 = time.perf_counter()
         specs: list[dict[str, float] | None] = [None] * len(values_list)
-        self._recover_into(values_list, 0, specs, report, poison)
+        self._recover_into(values_list, 0, specs, report)
         report.latency[:] = time.perf_counter() - t0
-        self._fresh_report = report
-        return specs
+        return specs, report
 
-    def _recover_into(self, values_list, base: int, specs, report,
-                      poison) -> None:
+    def _recover_into(self, values_list, base: int, specs, report) -> None:
         """Recursive bisection helper of :meth:`_recover_batch`.
 
         Fills ``specs[base:base+len(values_list)]``; only evaluation
@@ -659,96 +615,28 @@ class CircuitSimulator:
         """
         rows = tuple(range(base, base + len(values_list)))
         try:
-            if poison:
-                check_poison(self._values_matrix(values_list), poison)
             out = self._inprocess_batch(values_list)
         except (EvaluationFault, np.linalg.LinAlgError,
                 FloatingPointError) as exc:
             report.faults.append(FaultRecord(
-                "solve-error", -1, rows, int(report.attempts[base]) + 1,
+                "solve-error", rows, int(report.attempts[base]) + 1,
                 f"{type(exc).__name__}: {exc}"))
             report.attempts[list(rows)] += 1
             if len(values_list) == 1:
                 specs[base] = self.failure_measurements()
                 report.quarantined[base] = True
                 report.faults.append(FaultRecord(
-                    "quarantine", -1, (base,),
-                    int(report.attempts[base]),
+                    "quarantine", (base,), int(report.attempts[base]),
                     "design quarantined after in-process fault"))
                 return
             mid = len(values_list) // 2
             report.retries += 1
-            self._recover_into(values_list[:mid], base, specs, report,
-                               poison)
-            self._recover_into(values_list[mid:], base + mid, specs,
-                               report, poison)
+            self._recover_into(values_list[:mid], base, specs, report)
+            self._recover_into(values_list[mid:], base + mid, specs, report)
             return
         for i, spec in enumerate(out):
             specs[base + i] = spec
         report.attempts[list(rows)] += 1
-
-    def _values_matrix(self, values_list: list[dict[str, float]]
-                       ) -> np.ndarray:
-        """Stack value dicts into the shard pool's (B, P) wire format."""
-        names = self.parameter_space.names
-        return np.array([[values[name] for name in names]
-                         for values in values_list])
-
-    def _rows_to_specs(self, out: np.ndarray) -> list[dict[str, float]]:
-        """Inverse of the wire format: (B, S) spec rows back to dicts."""
-        spec_names = self.spec_space.names
-        return [{name: float(x) for name, x in zip(spec_names, row)}
-                for row in out]
-
-    def _resolve_shard_pool(self, n_values: int):
-        """The live shard pool, or None when sharding does not apply.
-
-        Returns None when sharding is off (``REPRO_SHARDS`` <= 1), the
-        batch is trivial, or the simulator has no factory — callers then
-        run the in-process engine.  Spawns/respawns the pool when the
-        requested worker count changes or a previous pool died.
-        """
-        from repro.sim.parallel import ShardPool, shard_count
-
-        n = shard_count()
-        if n <= 1 or n_values < 2:
-            if n <= 1:
-                self.close_shard_pool()  # sharding turned off: reap workers
-            return None
-        factory = self.shard_factory()
-        if factory is None:
-            return None
-        pool = self._pool
-        if pool is None or len(pool) != n or pool.closed:
-            self.close_shard_pool()
-            failed = self.failure_measurements()
-            pool = ShardPool(factory, n, self.parameter_space.names,
-                             self.spec_space.names,
-                             failure_row=[failed[name] for name
-                                          in self.spec_space.names])
-            self._pool = pool
-        return pool
-
-    def _shard_eval(self, values_list: list[dict[str, float]]
-                    ) -> list[dict[str, float]] | None:
-        """Distribute fresh evaluations over the shard pool, if configured.
-
-        Returns None when :meth:`_resolve_shard_pool` declines — callers
-        then run the in-process engine.  The pool's supervision record
-        lands in ``_fresh_report`` for :meth:`_publish_report`.
-        """
-        pool = self._resolve_shard_pool(len(values_list))
-        if pool is None:
-            return None
-        out = pool.evaluate_values(self._values_matrix(values_list))
-        self._fresh_report = pool.last_report
-        return self._rows_to_specs(out)
-
-    def close_shard_pool(self) -> None:
-        """Shut down this simulator's shard pool, if one was spawned."""
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
 
     def reset_counter(self) -> None:
         """Zero the simulation counter (per-experiment accounting)."""
@@ -795,11 +683,10 @@ class SchematicSimulator(CircuitSimulator):
 
     def evaluate_batch(self, indices_2d: np.ndarray) -> list[dict[str, float]]:
         """Evaluate B sizings in one stacked solve (see
-        :meth:`Topology.simulate_batch`), sharded across worker processes
-        when ``REPRO_SHARDS`` asks for them (:mod:`repro.sim.parallel`).
+        :meth:`Topology.simulate_batch`), with faulting designs
+        quarantined (see :meth:`CircuitSimulator._recover_batch`).
         """
-        return self._evaluate_batch_cached(
-            indices_2d, self._fresh_batch, self._cache)
+        return self._evaluate_batch_cached(indices_2d)
 
     def _inprocess_batch(self, values_list: list[dict[str, float]]
                          ) -> list[dict[str, float]]:
@@ -810,17 +697,6 @@ class SchematicSimulator(CircuitSimulator):
         """Forward to the topology: drop per-trajectory warm state."""
         self.topology.reset_warm_start()
 
-    def shard_factory(self):
-        """Picklable recipe rebuilding this simulator in a shard worker.
-
-        Zoo-built topologies rebuild through their scenario recipe
-        (:attr:`Topology.zoo_recipe`) so declaration overrides survive;
-        module-built topologies rebuild from their class."""
-        topology = self.topology
-        builder = topology.zoo_recipe or type(topology)
-        return _SchematicShardFactory(builder, topology.technology,
-                                      topology.corner, topology.temperature)
-
     @property
     def cache_stats(self) -> dict[str, float]:
         """Hit/miss counters of the memo cache (zeros when caching is off)."""
@@ -829,23 +705,3 @@ class SchematicSimulator(CircuitSimulator):
         return {"hits": self._cache.hits, "misses": self._cache.misses,
                 "hit_rate": self._cache.hit_rate}
 
-
-@dataclasses.dataclass
-class _SchematicShardFactory:
-    """Picklable recipe rebuilding a :class:`SchematicSimulator` replica
-    in a shard worker (caches off: the parent dedupes before sharding).
-
-    ``topology_cls`` is any builder accepting the ``(technology, corner,
-    temperature)`` keywords — a :class:`Topology` subclass or a compiled
-    zoo scenario."""
-
-    topology_cls: Callable[..., Topology]
-    technology: Technology
-    corner: Corner
-    temperature: float
-
-    def __call__(self) -> SchematicSimulator:
-        topology = self.topology_cls(technology=self.technology,
-                                     corner=self.corner,
-                                     temperature=self.temperature)
-        return SchematicSimulator(topology, cache=False)

@@ -6,10 +6,10 @@ The loader turns the structurally validated
 configured :class:`~repro.topologies.base.Topology` instance on demand,
 with **zero changes to the engine layers**: a compiled scenario is just
 a zero-argument topology factory (plus the ``(technology, corner,
-temperature)`` keyword form the PVT-corner and shard machinery uses), so
+temperature)`` keyword form the PVT-corner machinery uses), so
 everything downstream — :class:`~repro.topologies.base.SchematicSimulator`,
-:class:`~repro.pex.extraction.PexSimulator`, the shard pool, the RL
-environment — consumes it exactly like a module class.
+:class:`~repro.pex.extraction.PexSimulator`, the RL environment —
+consumes it exactly like a module class.
 
 Pipeline, per :func:`registry` load:
 
@@ -121,11 +121,10 @@ class CompiledScenario:
     constructor takes) builds a configured topology instance, so a
     scenario drops in anywhere a topology class is accepted: simulator
     constructors, :meth:`~repro.pex.corners.CornerSpec.apply` (via
-    :attr:`supports_corner_kwargs`), shard-worker factories, the CLI
-    registry.
+    :attr:`supports_corner_kwargs`), the CLI registry.
     """
 
-    #: Everything the PVT/shard machinery needs to rebuild an equivalent
+    #: Everything the PVT machinery needs to rebuild an equivalent
     #: topology is in the dataclass fields, so the recipe pickles.
     name: str
     base_cls: type[Topology]
@@ -160,12 +159,10 @@ class CompiledScenario:
                temperature: float | None = None) -> Topology:
         """Build the configured topology instance.
 
-        Explicit keyword arguments (the PVT-corner / shard-rebuild path)
-        take precedence over the declaration's environment fields.  The
-        instance is renamed to the scenario (``topology.name``), which
-        names it in reports, and carries the recipe itself as
-        :attr:`~repro.topologies.base.Topology.zoo_recipe` so shard
-        workers rebuild the *scenario*, not the bare base class.
+        Explicit keyword arguments (the PVT-corner path) take precedence
+        over the declaration's environment fields.  The instance is
+        renamed to the scenario (``topology.name``), which names it in
+        reports.
         """
         kwargs: dict = dict(self.ctor)
         if technology is None and self.technology_key is not None:
@@ -198,7 +195,6 @@ class CompiledScenario:
                 if s.name in ranges else s
                 for s in topology.spec_space.specs])
         topology.name = self.name
-        topology.zoo_recipe = self
         return topology
 
     def __call__(self, technology: Technology | None = None,

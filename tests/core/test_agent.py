@@ -82,21 +82,19 @@ class TestPersistence:
 
 
 class TestFaultAccounting:
-    def test_quarantined_design_lands_in_trainer_fault_stats(
-            self, monkeypatch):
+    def test_quarantined_design_lands_in_trainer_fault_stats(self):
         """A design quarantined on the default lockstep rollout path must
         show up in ``PPOTrainer.fault_stats``, not vanish silently.
 
         A clean run records the first rollout batch; its first design
         off the grid centre (the reset point, memo-cached before any
-        batch) is then poisoned.  The first batch is identical in the
+        batch) is then poisoned: the second run's batched engine raises
+        whenever a batch holds it.  The first batch is identical in the
         second run, so the poisoned design is evaluated and quarantined.
         """
-        from repro.sim.faults import design_digest
+        from repro.errors import EvaluationFault
         from repro.topologies import FiveTransistorOta, SchematicSimulator
 
-        monkeypatch.delenv("REPRO_SHARDS", raising=False)
-        monkeypatch.delenv("REPRO_FAULTS", raising=False)
         cfg = AutoCktConfig(max_iterations=1, stop_reward=None,
                             env=SizingEnvConfig(max_steps=3),
                             n_train_targets=3)
@@ -114,11 +112,15 @@ class TestFaultAccounting:
         space = clean.parameter_space
         row = next(r for r in batches[0]
                    if not np.array_equal(r, space.center))
-        values = space.values(row)
-        digest = design_digest(np.array([values[n] for n in space.names]))
+        poisoned_values = space.values(row)
 
-        monkeypatch.setenv("REPRO_FAULTS", f"poison@{digest}")
-        poisoned = AutoCkt.for_topology(FiveTransistorOta, config=cfg)
+        class Poisoned(SchematicSimulator):
+            def _inprocess_batch(self, values_list):
+                if poisoned_values in values_list:
+                    raise EvaluationFault("injected solve fault")
+                return super()._inprocess_batch(values_list)
+
+        poisoned = AutoCkt(lambda: Poisoned(FiveTransistorOta()), config=cfg)
         poisoned.train()
         assert poisoned.trainer.fault_stats["quarantined"] >= 1
         assert poisoned.trainer.fault_stats["faults"] >= 1

@@ -72,36 +72,43 @@ class TestVectorEnv:
 
 
 class TestBatchedFaultAccounting:
-    def test_shard_worker_death_lands_in_fault_stats(self, monkeypatch):
-        """A shard worker killed between two batched steps is respawned
-        by the supervisor: the step returns normal results, the pool
-        stays alive, and the fault lands in the env's fault_stats."""
+    def test_quarantined_design_lands_in_fault_stats(self, monkeypatch):
+        """A design whose batched solve faults is quarantined by the
+        shared simulator: the step returns finite results for every env,
+        and the fault lands in the env's fault_stats."""
         from repro.core.env import SizingEnv, SizingEnvConfig
+        from repro.errors import EvaluationFault
         from repro.topologies import FiveTransistorOta, SchematicSimulator
 
-        monkeypatch.setenv("REPRO_SHARDS", "2")
-        monkeypatch.delenv("REPRO_FAULTS", raising=False)
         shared = SchematicSimulator(FiveTransistorOta(), cache=False)
         envs = [SizingEnv(shared, config=SizingEnvConfig(max_steps=5),
                           seed=100 + i) for i in range(4)]
         vec = VectorEnv(envs, batch_simulator=shared)
-        try:
-            vec.reset()
-            actions = np.ones((4, len(vec.action_space.nvec)),
-                              dtype=np.int64)
-            vec.step(actions)           # warm step: spawns the pool
-            pool = shared._pool
-            assert pool is not None
-            assert vec.fault_stats == {"faults": 0, "retries": 0,
-                                       "respawns": 0, "quarantined": 0}
-            pool._group.processes[0].kill()
-            pool._group.processes[0].join(timeout=5.0)
-            obs, rewards, *_ = vec.step(actions)
-            assert np.all(np.isfinite(obs)) and np.all(np.isfinite(rewards))
-            assert shared._pool is pool and not pool.closed
-            assert vec.fault_stats["respawns"] >= 1
-            assert vec.fault_stats["faults"] >= 1
-            obs, *_ = vec.step(actions)   # the healed pool keeps rolling
-            assert np.all(np.isfinite(obs))
-        finally:
-            shared.close_shard_pool()
+        n_params = len(vec.action_space.nvec)
+        stay = np.ones((4, n_params), dtype=np.int64)
+        moves = stay.copy()
+        for i in range(4):
+            moves[i, i % n_params] = 2     # env i steps up parameter i
+        # Every env starts at the grid centre, so env 2's next sizing is
+        # the centre plus one step of its parameter.
+        space = shared.parameter_space
+        poisoned = space.values(space.clip(space.center + moves[2] - 1))
+        engine = shared._inprocess_batch
+
+        def faulty(values_list):
+            if poisoned in values_list:
+                raise EvaluationFault("injected solve fault")
+            return engine(values_list)
+
+        monkeypatch.setattr(shared, "_inprocess_batch", faulty)
+        vec.reset()
+        vec.step(stay)                  # clean step at the centre
+        assert vec.fault_stats == {"faults": 0, "retries": 0,
+                                   "quarantined": 0}
+        obs, rewards, _, infos, _ = vec.step(moves)
+        assert np.all(np.isfinite(obs)) and np.all(np.isfinite(rewards))
+        assert infos[2]["specs"] == shared.failure_measurements()
+        assert vec.fault_stats["quarantined"] == 1
+        assert vec.fault_stats["faults"] >= 1
+        obs, *_ = vec.step(stay)        # the env keeps rolling
+        assert np.all(np.isfinite(obs))

@@ -1,10 +1,13 @@
 """Multiprocess vector env: parity with the in-process VectorEnv."""
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
 from repro.errors import TrainingError
 from repro.rl import ParallelVectorEnv, PPOConfig, PPOTrainer, VectorEnv
+from repro.rl.parallel import resolve_context
 
 from tests.rl.test_ppo import BanditEnv, CorridorEnv
 
@@ -44,6 +47,21 @@ class TestLifecycle:
     def test_empty_factories_rejected(self):
         with pytest.raises(TrainingError):
             ParallelVectorEnv([])
+
+    def test_resolve_context(self):
+        assert resolve_context("spawn") == "spawn"
+        assert resolve_context() in ("fork", "spawn")
+
+    def test_broken_factory_raises_training_error(self):
+        """An env factory that raises kills worker 0 before it reports
+        its spaces: the caller gets a TrainingError naming the worker,
+        not a raw pipe error, and no worker process is left behind."""
+        def broken():
+            raise RuntimeError("env factory failed")
+
+        with pytest.raises(TrainingError, match="worker 0 died"):
+            ParallelVectorEnv([broken, lambda: BanditEnv()])
+        assert multiprocessing.active_children() == []
 
 
 class TestStepSemantics:

@@ -16,14 +16,10 @@ solves:
   on purpose, the engine degrades to the direct sparse path bitwise
   (DC and AC), and the fallbacks are counted;
 * BatchReport plumbing — per-solve counters drain into
-  ``last_batch_report`` on the iterative leg and stay zero elsewhere;
-* PEX sharding regression — compiled zoo scenarios must produce a
-  picklable shard factory instead of silently falling back in-process.
+  ``last_batch_report`` on the iterative leg and stay zero elsewhere.
 """
 
 from __future__ import annotations
-
-import pickle
 
 import numpy as np
 import pytest
@@ -35,8 +31,6 @@ from hypothesis import strategies as st
 
 import repro.sim.ac as ac_mod
 import repro.sim.krylov as krylov_mod
-from repro.pex.corners import typical_only
-from repro.pex.extraction import PexSimulator
 from repro.sim import (
     ITERATIVE_AUTO_THRESHOLD,
     MnaSystem,
@@ -49,7 +43,6 @@ from repro.sim import (
 from repro.sim.engine import iterative_threshold, sparse_threshold
 from repro.sim.krylov import DRIFT_TOL, KrylovStats, _IluCache, _solve_once
 from repro.topologies import FiveTransistorOta, SchematicSimulator
-from repro.zoo import registry
 
 SETTINGS = dict(deadline=None, max_examples=15,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -202,7 +195,6 @@ class TestStats:
 
     def test_batch_report_counters(self, monkeypatch):
         monkeypatch.setenv("REPRO_ENGINE", "iterative")
-        monkeypatch.delenv("REPRO_SHARDS", raising=False)
         sim = SchematicSimulator(FiveTransistorOta(), cache=False)
         center = np.asarray(sim.parameter_space.center, dtype=np.int64)
         sim.evaluate_batch(np.stack([center, center + 1]))
@@ -215,25 +207,3 @@ class TestStats:
         sim2.evaluate_batch(np.stack([center]))
         assert sim2.last_batch_report.krylov_solves == 0
         assert sim2.last_batch_report.krylov_fallbacks == 0
-
-
-# -- PEX sharding of compiled zoo scenarios ----------------------------------
-class TestZooPexSharding:
-    def test_compiled_scenario_shards(self):
-        """Regression: compiled zoo scenarios declare
-        ``supports_corner_kwargs`` and must shard — ``shard_factory``
-        used to require a literal class and silently kept zoo-driven
-        PEX evaluation in-process."""
-        scenario = registry()["ota_chain_small"]
-        sim = PexSimulator(scenario, corners=typical_only(), cache=False)
-        recipe = sim.shard_factory()
-        assert recipe is not None
-        replica = pickle.loads(pickle.dumps(recipe))()
-        assert isinstance(replica, PexSimulator)
-        center = np.asarray(sim.parameter_space.center, dtype=np.int64)
-        assert replica.evaluate(center) == pytest.approx(sim.evaluate(center))
-
-    def test_closure_factory_still_refuses(self):
-        sim = PexSimulator(lambda **kw: FiveTransistorOta(**kw),
-                           corners=typical_only(), cache=False)
-        assert sim.shard_factory() is None

@@ -1,8 +1,10 @@
 """Documentation-site integrity checks.
 
-The docs satellite of the async-pipeline PR: ``docs/`` must exist, every
-``REPRO_*`` environment knob used anywhere in the package must be
-documented in ``docs/knobs.md``, and every relative markdown link in the
+``docs/`` must exist, every ``REPRO_*`` environment knob used anywhere
+in the package must be documented in ``docs/knobs.md`` and listed by
+``repro knobs`` — and, the other way round, no ``REPRO_*`` name the
+package no longer reads may linger in the docs, the knob table, the
+tests, benches, examples or CI — and every relative markdown link in the
 site (and the README) must resolve.  CI runs this module in its docs
 job; it also rides the normal tier so the site cannot rot locally.
 """
@@ -20,6 +22,34 @@ REQUIRED_PAGES = ("architecture.md", "knobs.md", "quickstart.md")
 #: Non-knob REPRO_* identifiers (none today; listed for future use).
 KNOB_ALLOWLIST: frozenset = frozenset()
 
+#: Where a knob the package no longer reads must not be mentioned.
+KNOB_MENTION_TREES = ("tests", "benchmarks", "examples")
+KNOB_MENTION_FILES = (".github/workflows/ci.yml",)
+
+KNOB_NAME = re.compile(r"REPRO_[A-Z_]+")
+
+
+def _knobs_in(paths) -> dict[str, list[str]]:
+    """``REPRO_*`` name -> the files (relative to the root) naming it."""
+    found: dict[str, list[str]] = {}
+    for path in paths:
+        for name in set(KNOB_NAME.findall(path.read_text())):
+            found.setdefault(name, []).append(
+                str(path.relative_to(ROOT)))
+    return found
+
+
+def _knobs_read() -> set[str]:
+    """Every ``REPRO_*`` name the package source mentions."""
+    return set(_knobs_in(SRC.rglob("*.py"))) - set(KNOB_ALLOWLIST)
+
+
+def _stale(mentions: dict[str, list[str]]) -> dict[str, list[str]]:
+    """The mentioned names the package does not read, with their files."""
+    read = _knobs_read()
+    return {name: files for name, files in sorted(mentions.items())
+            if name not in read and name not in KNOB_ALLOWLIST}
+
 
 def _markdown_files():
     files = [ROOT / "README.md"]
@@ -36,23 +66,31 @@ def test_docs_site_exists():
 
 def test_every_env_knob_documented():
     """Every REPRO_* environment variable in the source appears in
-    docs/knobs.md (the reference the satellite demands), plus the other
-    documented switches."""
-    used = set()
-    for path in SRC.rglob("*.py"):
-        used.update(re.findall(r"REPRO_[A-Z_]+", path.read_text()))
-    used -= set(KNOB_ALLOWLIST)
+    docs/knobs.md, plus the other documented switches — and no REPRO_*
+    name the source no longer reads is still mentioned in the README,
+    docs/, tests/, benchmarks/, examples/ or the CI workflow."""
+    used = _knobs_read()
     knobs = (DOCS / "knobs.md").read_text()
     missing = sorted(knob for knob in used if knob not in knobs)
     assert not missing, f"knobs undocumented in docs/knobs.md: {missing}"
     # The non-env switches the issue names explicitly.
     for switch in ("SPARSE_AUTO_THRESHOLD", "--update-golden"):
         assert switch in knobs, f"{switch} missing from docs/knobs.md"
+    paths = list(_markdown_files())
+    for tree in KNOB_MENTION_TREES:
+        paths.extend(p for p in sorted((ROOT / tree).rglob("*"))
+                     if p.is_file() and p.suffix in (".py", ".md", ".txt",
+                                                     ".json", ".yml"))
+    paths.extend(ROOT / f for f in KNOB_MENTION_FILES
+                 if (ROOT / f).is_file())
+    stale = _stale(_knobs_in(paths))
+    assert not stale, f"knobs the package no longer reads: {stale}"
 
 
 def test_cli_knob_table_covers_env_knobs():
     """`repro knobs` must not rot behind the source: every REPRO_*
-    variable used in the package appears in the CLI's KNOBS table."""
+    variable used in the package appears in the CLI's KNOBS table, and
+    the table lists no REPRO_* variable the package no longer reads."""
     import sys
 
     sys.path.insert(0, str(ROOT / "src"))
@@ -61,12 +99,11 @@ def test_cli_knob_table_covers_env_knobs():
     finally:
         sys.path.pop(0)
     cli_names = {row[0] for row in KNOBS}
-    used = set()
-    for path in SRC.rglob("*.py"):
-        used.update(re.findall(r"REPRO_[A-Z_]+", path.read_text()))
-    used -= set(KNOB_ALLOWLIST)
-    missing = sorted(used - cli_names)
+    missing = sorted(_knobs_read() - cli_names)
     assert not missing, f"knobs missing from repro.cli.KNOBS: {missing}"
+    stale = _stale({name: ["repro.cli.KNOBS"] for name in cli_names
+                    if name.startswith("REPRO_")})
+    assert not stale, f"repro.cli.KNOBS lists unread knobs: {stale}"
 
 
 def test_relative_markdown_links_resolve():

@@ -4,7 +4,7 @@ Covers the registry (builtin families, ``REPRO_ZOO_DIR`` discovery,
 content-signature caching), inheritance resolution, semantic validation
 against the base topology, variant expansion and the
 :class:`~repro.zoo.loader.CompiledScenario` factory contract the
-simulator/PVT/shard machinery relies on.
+simulator/PVT machinery relies on.
 """
 
 from __future__ import annotations
@@ -64,7 +64,6 @@ class TestRegistry:
         topology = sc.create()
         assert isinstance(topology, TransimpedanceAmplifier)
         assert topology.name == "tia"
-        assert topology.zoo_recipe is sc
 
     def test_ctor_overrides(self):
         topology = scenario("ota_chain_small")()
@@ -279,18 +278,6 @@ class TestCompiledScenario:
         assert topology.corner is Corner.SS
         assert topology.temperature == pytest.approx(398.15)
         assert topology.C_LOAD == pytest.approx(2.0e-12)
-
-    def test_shard_factory_rebuilds_the_scenario(self):
-        # Shard workers rebuild the topology from the picklable factory;
-        # via Topology.zoo_recipe that factory is the scenario itself,
-        # not the bare base class.
-        sim = SchematicSimulator(scenario("folded_pvt_ss_2em12").create())
-        rebuilt = sim.shard_factory()()
-        assert rebuilt.topology.name == "folded_pvt_ss_2em12"
-        assert rebuilt.topology.corner is Corner.SS
-        assert rebuilt.topology.C_LOAD == pytest.approx(2.0e-12)
-        assert (rebuilt.topology.spec_space["gain"].low
-                == pytest.approx(120.0))
 
     def test_create_simulator_schematic_by_default(self):
         sim = scenario("tia").create_simulator(cache=False)
