@@ -38,7 +38,7 @@ Run directly::
 
 Default scale brackets the crossover and checks the >=5k-unknown
 acceptance floor; ``AUTOCKT_FULL=1`` adds the 50k mesh.  The
-condensation rows run at 5k by default and add 15k and 50k under
+condensation rows run at 5k and 15k by default and add 50k under
 ``AUTOCKT_FULL=1``.
 Results go to ``benchmarks/results/krylov_engine.txt`` (narrative) and
 the ``krylov_engine`` section of ``BENCH_simulator.json`` (record).
@@ -237,11 +237,11 @@ def main() -> None:
             f"{record['acceptance_5k_speedup']:.2f}x at "
             f"{record['acceptance_5k_unknowns']} unknowns (floor 2x; "
             f"dc wall is Amdahl-capped by device evaluation)")
-    # Condensation rows: 5k by default, 15k and 50k at full scale.
+    # Condensation rows: 5k and 15k by default, 50k at full scale.
     record["condensation"] = [
         _bench_condensation(grid_n, n_evals, rng)
-        for grid_n, n_evals in ([(71, 3), (122, 2), (223, 1)] if FULL_SCALE
-                                else [(71, 3)])]
+        for grid_n, n_evals in [(71, 3), (122, 2)] + (
+            [(223, 1)] if FULL_SCALE else [])]
     lines.append(f"{'mesh':<10} {'unknowns':>8} {'reduce':>10} "
                  f"{'condensed':>10} {'full eval':>10} {'speedup':>8}")
     for c in record["condensation"]:

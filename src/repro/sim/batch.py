@@ -42,14 +42,13 @@ import dataclasses
 
 import numpy as np
 
-from repro.circuits.elements import Resistor
 from repro.circuits.mosfet import (
     DeviceArrays,
     eval_companion_batch,
     eval_ids_batch,
 )
 from repro.sim.dc import _POLISH_ITERS, _POLISH_STAG
-from repro.sim.system import MnaSystem
+from repro.sim.system import MnaSystem, StructureMismatch
 from repro.units import BOLTZMANN
 
 #: gmin-stepping and source-stepping schedules (mirrors repro.sim.dc).
@@ -89,10 +88,10 @@ class SystemStack:
         self.n_nodes = template.n_nodes
         self.n_designs = n_designs
         self.n_corners = n_corners
-        #: Sparse-engine stacks snapshot master-pattern ``.data`` rows
-        #: (``(B, nnz)``) instead of dense ``(B, n, n)`` matrices; dense
-        #: consumers go through :meth:`G_rows`/:meth:`C_rows`, which
-        #: reconstruct on demand (cheap at the sizes where they run).
+        #: Sparse-engine stacks copy each slice's stamped master-pattern
+        #: ``.data`` (``(B, nnz)`` rows) instead of dense ``(B, n, n)``
+        #: matrices; dense consumers go through :meth:`G_rows`/:meth:`C_rows`,
+        #: which reconstruct on demand (cheap at the sizes where they run).
         self.sparse = bool(getattr(template, "sparse", False))
         if self.sparse:
             nnz = template.sparse_state.nnz
@@ -111,15 +110,12 @@ class SystemStack:
         self._filled = 0
         # Structure-fixed resistor noise topology: (R, 2) node-index pairs
         # (-1 marks ground, as in node_index) plus per-slice PSD constants.
-        names = []
-        idx = []
-        for element in template.netlist:
-            if isinstance(element, Resistor):
-                names.append(element.name)
-                idx.append((template.node_index[element.p],
-                            template.node_index[element.n]))
-        self.noise_res_names: tuple[str, ...] = tuple(names)
-        self.noise_res_idx = np.asarray(idx, dtype=np.intp).reshape(-1, 2)
+        names = template.resistor_names
+        index, netlist = template.node_index, template.netlist
+        self.noise_res_names: tuple[str, ...] = names
+        self.noise_res_idx = np.asarray(
+            [(index[netlist[name].p], index[netlist[name].n])
+             for name in names], dtype=np.intp).reshape(-1, 2)
         self.noise_res_psd = np.empty((n_designs, len(names)))
         #: Per-slice resistance of every resistor (same column order as
         #: ``noise_res_names``); the measurement pipeline reads element
@@ -130,13 +126,22 @@ class SystemStack:
 
     def set_design(self, i: int, system: MnaSystem,
                    values: dict[str, float] | None = None) -> None:
-        """Snapshot ``system``'s current values as slice ``i``."""
+        """Snapshot ``system``'s current values as slice ``i``; raises
+        :class:`~repro.sim.system.StructureMismatch` when a sparse stack's
+        slice does not share the template's master pattern."""
         if system.size != self.size:
             raise ValueError("system size does not match the stack")
         if self.sparse:
-            st = self.template.sparse_state
-            self.G_pat[i] = st.gather(system.G)
-            self.C_pat[i] = st.gather(system.C)
+            st, tpl = system.sparse_state, self.template.sparse_state
+            if st is not tpl and not (
+                    np.array_equal(st.indices, tpl.indices)
+                    and np.array_equal(st.indptr, tpl.indptr)):
+                raise StructureMismatch(
+                    f"netlist {system.netlist.title!r} does not share the "
+                    f"sparsity pattern of the stack template "
+                    f"{self.template.netlist.title!r}")
+            self.G_pat[i] = system._sparse_G_data()
+            self.C_pat[i] = system._sparse_C_data()
         else:
             self.G[i] = system.G
             self.C[i] = system.C
@@ -144,11 +149,14 @@ class SystemStack:
         self.b_ac[i] = system.b_ac
         self.temperatures[i] = system.temperature
         self.values[i] = values
-        four_kt = 4.0 * BOLTZMANN * system.temperature
-        for r, name in enumerate(self.noise_res_names):
-            resistance = system.netlist[name].resistance
-            self.noise_res_r[i, r] = resistance
-            self.noise_res_psd[i, r] = four_kt / resistance
+        names = system.resistor_names
+        if names is self.noise_res_names or names == self.noise_res_names:
+            self.noise_res_r[i] = system.resistor_values
+        else:
+            self.noise_res_r[i] = [system.netlist[name].resistance
+                                   for name in self.noise_res_names]
+        np.divide(4.0 * BOLTZMANN * system.temperature, self.noise_res_r[i],
+                  out=self.noise_res_psd[i])
         self._devs[i] = system.device_arrays
         self._filled += 1
         if self._filled == self.n_designs and self._devs[0] is not None:

@@ -7,10 +7,11 @@ past a hundred unknowns: the maps cost ``O(K n^2)`` memory and the solves
 ``O(n^3)`` time, while a post-PEX mesh or an RC-interconnect chain is
 structurally ``O(n)`` sparse.
 
-This module keeps the *assembly* layer intact — the dense ``G``/``C``
-arrays of an :class:`~repro.sim.system.MnaSystem` remain the value source
-of truth, stamped by exactly the same element code — and adds a
-structure-cached sparse view on top:
+This module keeps the *element* stamping code intact — an
+:class:`~repro.sim.system.MnaSystem` on a sparse leg replays exactly the
+same ``Element.stamp`` calls, but its stamper adds each entry straight
+into a master-pattern ``.data`` vector (through :attr:`SparseState.pos`),
+so no ``(n, n)`` array exists behind the sparse legs:
 
 * :class:`SparseState` — built once per MNA *structure* (the sparse
   mirror of the dense scatter maps).  It computes one **master sparsity
@@ -21,8 +22,9 @@ structure-cached sparse view on top:
   Jacobians, small-signal ``G_ss``/``C_ss``, AC operators
   ``G + j w C``, transient iteration matrices — share this one pattern,
   so per-sizing work reduces to refreshing ``.data`` vectors in place:
-  an ``O(nnz)`` gather from the dense arrays plus ``O(K)`` scatter-adds
-  of the device quantities through precomputed position indices.
+  an ``O(nnz)`` copy of the frozen base plus the variable elements'
+  stamps, and ``O(K)`` scatter-adds of the device quantities through
+  precomputed position indices.
 * :class:`SparseSlice` — a lightweight per-design view over a sparse
   :class:`~repro.sim.batch.SystemStack` slice that duck-types the
   ``newton_matrices``/``residual`` surface of :class:`MnaSystem`, so the
@@ -147,7 +149,7 @@ class SparseState:
         pattern.sum_duplicates()
         pattern.sort_indices()
         coo = pattern.tocoo()
-        #: Master-pattern coordinates in CSC data order (gather/densify).
+        #: Master-pattern coordinates in CSC data order (densify).
         self.pat_rows = coo.row.astype(np.intp)
         self.pat_cols = coo.col.astype(np.intp)
         self.indices = pattern.indices.copy()
@@ -161,6 +163,8 @@ class SparseState:
         self.nnz = pattern.nnz
         pos = {(int(r), int(c)): k
                for k, (r, c) in enumerate(zip(self.pat_rows, self.pat_cols))}
+        #: ``(row, col) -> data position``: the sparse stamper's target.
+        self.pos = pos
         self._diag_pos = np.array([pos[(i, i)] for i in range(n)],
                                   dtype=np.intp)
         #: Positions of the node-diagonal entries (gmin stamping).
@@ -217,10 +221,6 @@ class SparseState:
         self._block_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     # -- data plumbing -------------------------------------------------------
-    def gather(self, dense: np.ndarray) -> np.ndarray:
-        """Master-pattern ``.data`` vector of a dense matrix (O(nnz))."""
-        return np.ascontiguousarray(dense[self.pat_rows, self.pat_cols])
-
     def matrix(self, data: np.ndarray):
         """CSC matrix over the master pattern with the given ``.data``
         (sharing the read-only ``indices``/``indptr``)."""
@@ -231,8 +231,9 @@ class SparseState:
         """Dense ``(..., n, n)`` matrices from ``(..., nnz)`` data rows.
 
         The bridge for dense-only consumers (stacked measurement, batch
-        transient) running against a sparse :class:`SystemStack`; cheap at
-        the small sizes where those paths are used.
+        transient, the ``G``/``C`` attributes of a sparse system) running
+        against sparse data; cheap at the small sizes where those paths
+        are used.
         """
         out = np.zeros(data.shape[:-1] + (self.n, self.n))
         out[..., self.pat_rows, self.pat_cols] = data

@@ -1,7 +1,7 @@
 """Modified nodal analysis (MNA) system assembly.
 
 :class:`MnaSystem` turns a :class:`~repro.circuits.netlist.Netlist` into
-dense numpy matrices:
+numpy matrices (dense, or master-pattern CSC data on the sparse legs):
 
 * ``G`` — conductance matrix (linear elements only),
 * ``C`` — capacitance/inductance matrix,
@@ -42,23 +42,23 @@ linear algebra (and dense scatter maps) is both simpler and faster than
 sparse there — but post-PEX mesh netlists and the RC-interconnect chain
 scenarios reach hundreds of unknowns, where both stop scaling.  Each
 system therefore carries an *engine* flag (:mod:`repro.sim.engine`,
-``REPRO_ENGINE=auto|dense|sparse|iterative``): sparse systems keep the
-dense ``G/C/b`` arrays as the stamped value source of truth but factor
-their Newton/AC/transient operators through the structure-cached CSC
-pattern of :class:`repro.sim.sparse.SparseState` (one fixed sparsity
-pattern per structure, ``.data`` refreshed in place per sizing) and never
-build the large dense scatter maps, which are lazy for exactly that
-reason.  The ``iterative`` leg shares that CSC assembly but replaces the
-``splu`` factorisations with ILU-preconditioned Krylov solves
-(:mod:`repro.sim.krylov`) for the 10^4-unknown mesh scenarios where
-direct factorisation walls.
+``REPRO_ENGINE=auto|dense|sparse|iterative``): sparse systems stamp the
+live values and the frozen base straight into ``.data`` vectors over the
+structure-cached CSC pattern of :class:`repro.sim.sparse.SparseState`
+(one fixed sparsity pattern per structure), factor their Newton/AC/
+transient operators on it and hold no ``(n, n)`` array (``G``/``C`` are
+densified on access, and the large dense scatter maps are lazy for the
+same reason).  The ``iterative`` leg shares that CSC assembly but uses
+ILU-preconditioned Krylov solves (:mod:`repro.sim.krylov`) instead of
+``splu`` for the 10^4-unknown mesh scenarios where direct factorisation
+walls.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.circuits.elements import Element
+from repro.circuits.elements import Element, Resistor
 from repro.circuits.mosfet import (
     _TERMINAL_MAP as _TERM_MAP,
     _forward_core_ws,
@@ -84,21 +84,26 @@ from repro.units import ROOM_TEMPERATURE
 
 
 class StructureMismatch(NetlistError):
-    """A netlist handed to :meth:`MnaSystem.restamp` has a different
-    structure (element names/kinds/nodes) than the one the system was
-    built from."""
+    """A netlist has a different structure (element names/kinds/nodes, or
+    the sparsity pattern its stamps need) than the one a system or stack
+    was built from."""
 
 
 class _Stamper:
-    """Accumulates element stamps into an :class:`MnaSystem`'s arrays."""
+    """Accumulates element stamps into an :class:`MnaSystem`'s arrays:
+    entry ``(i, j)`` lands at ``G[i, j]`` on the dense leg and at
+    ``G[pos[i, j]]`` of the master-pattern data on the sparse legs, where
+    an entry outside the pattern raises (it is never dropped)."""
 
     def __init__(self, system: "MnaSystem", G: np.ndarray, C: np.ndarray,
-                 b_dc: np.ndarray, b_ac: np.ndarray):
+                 b_dc: np.ndarray, b_ac: np.ndarray,
+                 pos: dict[tuple[int, int], int] | None = None):
         self._system = system
         self._G = G
         self._C = C
         self._b_dc = b_dc
         self._b_ac = b_ac
+        self._pos = pos
 
     def node(self, name: str) -> int:
         return self._system.node_index[name]
@@ -106,13 +111,22 @@ class _Stamper:
     def branch(self, element: Element) -> int:
         return self._system.branch_index[element.name]
 
+    def _at(self, i: int, j: int):
+        if self._pos is None:
+            return i, j
+        if (i, j) not in self._pos:
+            raise StructureMismatch(f"stamp ({i}, {j}) of netlist "
+                                    f"{self._system.netlist.title!r} lies "
+                                    "outside its sparsity pattern")
+        return self._pos[i, j]
+
     def add_g(self, i: int, j: int, value: float) -> None:
         if i >= 0 and j >= 0:
-            self._G[i, j] += value
+            self._G[self._at(i, j)] += value
 
     def add_c(self, i: int, j: int, value: float) -> None:
         if i >= 0 and j >= 0:
-            self._C[i, j] += value
+            self._C[self._at(i, j)] += value
 
     def add_b_dc(self, i: int, value: float) -> None:
         if i >= 0:
@@ -137,9 +151,10 @@ class MnaSystem:
     engine:
         ``"dense"``/``"sparse"`` force a linear-algebra backend; None (the
         default) resolves ``REPRO_ENGINE`` at construction time — see
-        :mod:`repro.sim.engine`.  Sparse systems expose the same stamped
-        ``G/C/b`` arrays but factor their solves through
-        :class:`repro.sim.sparse.SparseState`.
+        :mod:`repro.sim.engine`.  Sparse systems stamp ``G``/``C`` into
+        master-pattern data vectors of :class:`repro.sim.sparse.SparseState`
+        and factor their solves there; their ``G``/``C`` attributes are
+        read-only dense copies made on each access.
 
     Re-stamping
     -----------
@@ -185,37 +200,6 @@ class MnaSystem:
                                    self._mos_terms)
         self._build_scatter_maps()
 
-        self.G = np.zeros((self.size, self.size))
-        self.C = np.zeros((self.size, self.size))
-        self.b_dc = np.zeros(self.size)
-        self.b_ac = np.zeros(self.size, dtype=complex)
-        self._stamper = _Stamper(self, self.G, self.C, self.b_dc, self.b_ac)
-        # Frozen stamp of the sizing-invariant elements (see _bind).
-        self._G0 = np.zeros_like(self.G)
-        self._C0 = np.zeros_like(self.C)
-        self._b_dc0 = np.zeros_like(self.b_dc)
-        self._b_ac0 = np.zeros_like(self.b_ac)
-        self._base_stamper = _Stamper(self, self._G0, self._C0,
-                                      self._b_dc0, self._b_ac0)
-
-        n1 = self.size + 1
-        self._A_pad = np.zeros((n1, n1))
-        self._rhs_pad = np.zeros(n1)
-        self._x_pad = np.zeros(n1)
-        self._diag = np.arange(self.n_nodes)
-        K = len(self._terms_pad)
-        self._ws = ChannelWorkspace(K) if K else None
-        self._V_buf = np.empty((K, 4))
-        self._Aflat_buf = np.empty(n1 * n1)
-        self._rhs_buf = np.empty(n1)
-        self._dyn_cols: np.ndarray | None = None
-        self._ss_memo: tuple | None = None  # (op, G_ss, C_ss) of last call
-        self._ss_stash: tuple | None = None  # (dev, x) behind _g3/_c4 bufs
-        self._Gss_pad = np.zeros((n1, n1))
-        self._Css_pad = np.zeros((n1, n1))
-        self._g3_buf = np.empty((K, 3))
-        self._c4_buf = np.empty((K, 4))
-
         #: Resolved engine leg: "dense", "sparse" or "iterative".
         self.engine = resolve_engine(self.size, engine)
         if not sparse_engine.HAVE_SCIPY:
@@ -234,8 +218,49 @@ class MnaSystem:
             self.krylov_state = KrylovState(self.sparse_state)
         else:
             self.krylov_state = None
-        self._sp_Gdata: np.ndarray | None = None   # master-pattern G gather
-        self._sp_Cdata: np.ndarray | None = None   # master-pattern C gather
+
+        n1 = self.size + 1
+        if self.sparse:
+            shape, pos = (self.sparse_state.nnz,), self.sparse_state.pos
+        else:
+            shape, pos = (self.size, self.size), None
+            self._A_pad = np.zeros((n1, n1))
+            self._Aflat_buf = np.empty(n1 * n1)
+            self._Gss_pad = np.zeros((n1, n1))
+            self._Css_pad = np.zeros((n1, n1))
+        # Stamped values: (n, n) on the dense leg, pattern data on sparse.
+        self._G = np.zeros(shape)
+        self._C = np.zeros(shape)
+        self.b_dc = np.zeros(self.size)
+        self.b_ac = np.zeros(self.size, dtype=complex)
+        self._stamper = _Stamper(self, self._G, self._C, self.b_dc,
+                                 self.b_ac, pos)
+        # Frozen stamp of the sizing-invariant elements (see _bind).
+        self._G0 = np.zeros(shape)
+        self._C0 = np.zeros(shape)
+        self._b_dc0 = np.zeros_like(self.b_dc)
+        self._b_ac0 = np.zeros_like(self.b_ac)
+        self._base_stamper = _Stamper(self, self._G0, self._C0,
+                                      self._b_dc0, self._b_ac0, pos)
+        #: Names of the netlist's resistors in netlist order (structural)
+        #: and their current resistances (see :meth:`_rebuild_base`).
+        self.resistor_names: tuple[str, ...] = tuple(
+            e.name for e in netlist if isinstance(e, Resistor))
+        self.resistor_values = np.empty(len(self.resistor_names))
+
+        self._rhs_pad = np.zeros(n1)
+        self._x_pad = np.zeros(n1)
+        self._diag = np.arange(self.n_nodes)
+        K = len(self._terms_pad)
+        self._ws = ChannelWorkspace(K) if K else None
+        self._V_buf = np.empty((K, 4))
+        self._rhs_buf = np.empty(n1)
+        self._dyn_cols: np.ndarray | None = None
+        self._ss_memo: tuple | None = None  # (op, G_ss, C_ss) of last call
+        self._ss_stash: tuple | None = None  # (dev, x) behind _g3/_c4 bufs
+        self._g3_buf = np.empty((K, 3))
+        self._c4_buf = np.empty((K, 4))
+
         self._condensation: Condensation | None = None
         self._condensation_stale = True
         self._base_synced = False  # G/C/b equal the frozen base
@@ -345,6 +370,8 @@ class MnaSystem:
         # Nonlinear devices stamp nothing linear (their whole contribution
         # is the Newton companion model), so value stamping skips them.
         self._linear = tuple(e for e in netlist if not e.is_nonlinear)
+        self._resistors = tuple(e for e in self._linear
+                                if isinstance(e, Resistor))
         self._const_elems: list = []
         self._var_elems: list = []
         self._elem_keys: dict[str, object] = {}
@@ -360,7 +387,8 @@ class MnaSystem:
 
     def _rebuild_base(self) -> None:
         """Stamp the currently-constant elements into the base matrices
-        (which also invalidates :attr:`condensation`)."""
+        and refill :attr:`resistor_values` (which also invalidates
+        :attr:`condensation`)."""
         self._base_synced = False
         self._condensation_stale = True
         self._G0.fill(0.0)
@@ -369,13 +397,16 @@ class MnaSystem:
         self._b_ac0.fill(0.0)
         for element in self._const_elems:
             element.stamp(self._base_stamper)
+        self.resistor_values[:] = [e.resistance for e in self._resistors]
+        self._var_resistors = [(k, e) for k, e in enumerate(self._resistors)
+                               if e.name not in self._elem_keys]
 
     def _refresh_values(self) -> None:
         """Recompute everything value-dependent from the bound netlist.
 
         Without variable linear elements ``G/C/b`` equal the frozen base
-        once copied, so later refreshes skip the copy (and keep the
-        master-pattern gathers) until the base is rebuilt.
+        once copied, so later refreshes skip the copy until the base is
+        rebuilt.
         """
         self._dev = (DeviceArrays.from_mosfets(self.mosfets)
                      if self.mosfets else None)
@@ -384,14 +415,14 @@ class MnaSystem:
         self._sp_lu_memo = None
         if self._base_synced:
             return
-        self._sp_Gdata = None
-        self._sp_Cdata = None
-        np.copyto(self.G, self._G0)
-        np.copyto(self.C, self._C0)
+        np.copyto(self._G, self._G0)
+        np.copyto(self._C, self._C0)
         np.copyto(self.b_dc, self._b_dc0)
         np.copyto(self.b_ac, self._b_ac0)
         for element in self._var_elems:
             element.stamp(self._stamper)
+        for k, element in self._var_resistors:
+            self.resistor_values[k] = element.resistance
         self._base_synced = not self._var_elems
 
     def restamp(self, netlist: Netlist) -> "MnaSystem":
@@ -433,6 +464,25 @@ class MnaSystem:
                 self._rebuild_base()
         self._refresh_values()
         return self
+
+    @property
+    def G(self) -> np.ndarray:
+        """Conductance matrix: the stamped array on the dense leg; on the
+        sparse legs a read-only dense copy of the pattern data, for tests
+        and the dense bridges (no sparse hot path reads it)."""
+        return self._dense(self._G)
+
+    @property
+    def C(self) -> np.ndarray:
+        """Capacitance matrix of the linear elements (see :attr:`G`)."""
+        return self._dense(self._C)
+
+    def _dense(self, values: np.ndarray) -> np.ndarray:
+        if not self.sparse:
+            return values
+        out = self.sparse_state.densify(values)
+        out.flags.writeable = False
+        return out
 
     @property
     def device_arrays(self) -> DeviceArrays | None:
@@ -507,7 +557,7 @@ class MnaSystem:
         size = self.size
         A = self._A_pad
         A.fill(0.0)
-        A[:size, :size] = self.G
+        A[:size, :size] = self._G
         rhs = self._rhs_pad
         rhs[:size] = self.b_dc
         if source_scale != 1.0:
@@ -532,8 +582,9 @@ class MnaSystem:
     def _newton_matrices_sparse(self, x: np.ndarray, gmin: float,
                                 source_scale: float):
         """Sparse :meth:`newton_matrices`: one master-pattern ``.data``
-        refresh (O(nnz) gather + O(K) device scatter-adds) instead of a
-        dense ``(n+1)^2`` fill and scatter matmul."""
+        assembly (an O(nnz) copy of the stamped ``G`` data + O(K) device
+        scatter-adds) instead of a dense ``(n+1)^2`` fill and scatter
+        matmul."""
         st = self.sparse_state
         rhs = source_scale * self.b_dc
         if self._dev is not None:
@@ -559,16 +610,14 @@ class MnaSystem:
         return st.matrix(data), rhs
 
     def _sparse_G_data(self) -> np.ndarray:
-        """Master-pattern gather of ``G`` (cached until ``G`` changes)."""
-        if self._sp_Gdata is None:
-            self._sp_Gdata = self.sparse_state.gather(self.G)
-        return self._sp_Gdata
+        """Live master-pattern data of ``G``, refreshed in place: callers
+        copy it before they mutate it (``newton_data``/``ss_data``/
+        ``cap_data`` do)."""
+        return self._G
 
     def _sparse_C_data(self) -> np.ndarray:
-        """Master-pattern gather of ``C`` (cached until ``C`` changes)."""
-        if self._sp_Cdata is None:
-            self._sp_Cdata = self.sparse_state.gather(self.C)
-        return self._sp_Cdata
+        """Live master-pattern data of ``C`` (see :meth:`_sparse_G_data`)."""
+        return self._C
 
     def residual(self, x: np.ndarray, source_scale: float = 1.0) -> np.ndarray:
         """KCL/KVL residual ``F(x) = G x + i_nl(x) - b`` (amps / volts).
@@ -583,7 +632,7 @@ class MnaSystem:
         systems multiply by the CSC ``G``, never the dense array.
         """
         G = (self.sparse_state.matrix(self._sparse_G_data())
-             if self.sparse else self.G)
+             if self.sparse else self._G)
         f = G @ x - source_scale * self.b_dc
         dev, ws = self._dev, self._ws
         if dev is None:
@@ -702,10 +751,10 @@ class MnaSystem:
         g3, c4 = self._ss_values_for(op)
         Gp, Cp = self._Gss_pad, self._Css_pad
         Gp.fill(0.0)
-        Gp[:size, :size] = self.G
+        Gp[:size, :size] = self._G
         Gp.reshape(-1)[:] += g3 @ self.ss_map
         Cp.fill(0.0)
-        Cp[:size, :size] = self.C
+        Cp[:size, :size] = self._C
         Cp.reshape(-1)[:] += c4 @ self.cap_map
         G_ss = Gp[:size, :size].copy()
         C_ss = Cp[:size, :size].copy()
@@ -783,7 +832,7 @@ class MnaSystem:
         arrays = self.mosfet_state_arrays(x)
         n1 = size + 1
         Cp = np.zeros((n1, n1))
-        Cp[:size, :size] = self.C
+        Cp[:size, :size] = self._C
         c4 = np.stack([arrays["cgs"], arrays["cgd"], arrays["cdb"],
                        arrays["csb"]], axis=-1).reshape(-1)
         Cp.reshape(-1)[:] += c4 @ self.cap_map

@@ -553,11 +553,12 @@ def _solve_static(system: MnaSystem, b: np.ndarray, x0: np.ndarray,
                   max_iter: int, vtol: float) -> np.ndarray:
     """Newton solve of G x + i_nl(x) = b from a warm start."""
     x = x0.copy()
+    G = system.G
     for _ in range(max_iter):
         i_nl, J_nl = system.nonlinear_current_and_jacobian(x)
-        F = system.G @ x + i_nl - b
+        F = G @ x + i_nl - b
         try:
-            dx = np.linalg.solve(system.G + J_nl, -F)
+            dx = np.linalg.solve(G + J_nl, -F)
         except np.linalg.LinAlgError:
             raise ConvergenceError("static re-solve Jacobian singular")
         step = float(np.max(np.abs(dx))) if dx.size else 0.0

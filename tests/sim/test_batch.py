@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.circuits import Netlist, Resistor, VoltageSource
+from repro.sim import MnaSystem, StampPlan
 from repro.sim.batch import BatchDcResult, SystemStack, solve_dc_batch
 from repro.sim.dc import solve_dc
+from repro.sim.system import StructureMismatch
 from repro.topologies import FiveTransistorOta, TwoStageOpAmp
 
 
@@ -104,3 +107,36 @@ class TestFailureFallback:
         assert specs[1] == failure
         for i in (0, 2, 3):
             assert specs[i] != failure
+
+
+def _drifting_ladder(values):
+    """Same-size netlists whose ``R2`` moves from ``b-0`` to ``b-c`` when
+    ``values["drift"]`` is set: a structure change mid-batch."""
+    drift = bool(values["drift"])
+    net = Netlist("drifted" if drift else "base")
+    net.add(VoltageSource("V1", "a", "0", 1.0))
+    net.add(Resistor("R1", "a", "b", 1e3))
+    net.add(Resistor("R2", "b", "c" if drift else "0", 2e3))
+    net.add(Resistor("R3", "c", "0", 3e3))
+    return net
+
+
+class TestStructureDrift:
+    """``StampPlan.stack`` hands ``set_design`` a rebuilt system when the
+    builder's structure changes mid-batch."""
+
+    DESIGNS = [{"drift": 0.0}, {"drift": 1.0}]
+
+    def test_dense_stack_snapshots_the_rebuilt_system(self):
+        stack = StampPlan(_drifting_ladder, engine="dense").stack(self.DESIGNS)
+        fresh = MnaSystem(_drifting_ladder(self.DESIGNS[1]), engine="dense")
+        np.testing.assert_array_equal(stack.G[1], fresh.G)
+
+    @pytest.mark.parametrize("engine", ["sparse", "iterative"])
+    def test_sparse_stack_rejects_a_drifted_pattern(self, engine):
+        """The drifted slice's ``b-c`` coupling has no position in the
+        template's pattern; snapshotting it there would drop 5e-4 S."""
+        plan = StampPlan(_drifting_ladder, engine=engine)
+        with pytest.raises(StructureMismatch,
+                           match=r"'drifted'.*'base'"):
+            plan.stack(self.DESIGNS)

@@ -229,7 +229,7 @@ def test_master_pattern_is_read_only():
     system = _system(PowerGridOta(grid_n=5), "sparse")
     st = system.sparse_state
     indices, indptr = st.indices.copy(), st.indptr.copy()
-    matrix = st.matrix(st.gather(system.G))
+    matrix = st.matrix(system._sparse_G_data().copy())
     with pytest.raises(ValueError):
         matrix.eliminate_zeros()
     assert np.array_equal(st.indices, indices)

@@ -105,14 +105,35 @@ def test_restamp_matches_fresh_build(indices):
     np.testing.assert_array_equal(restamped.b_ac, fresh.b_ac)
 
 
+def _assert_stamped_data_bitwise(sparse, dense):
+    """The sparse leg's stamped master-pattern data are the dense stamps
+    at the pattern coordinates, exactly, and the dense stamps are zero
+    everywhere else."""
+    st = sparse.sparse_state
+    on = np.zeros((dense.size, dense.size), dtype=bool)
+    on[st.pat_rows, st.pat_cols] = True
+    for data, full in ((sparse._sparse_G_data(), dense.G),
+                       (sparse._sparse_C_data(), dense.C)):
+        np.testing.assert_array_equal(data, full[st.pat_rows, st.pat_cols])
+        assert not full[~on].any()
+    np.testing.assert_array_equal(sparse.resistor_values,
+                                  dense.resistor_values)
+
+
 @given(_INDEX_VECTORS)
 @settings(**SETTINGS)
 def test_sparse_assembly_matches_dense(indices):
     """Dense and sparse Newton operators are the same matrix at any
-    sizing and any (random but shared) bias point."""
+    sizing and any (random but shared) bias point; the sparse leg stamps
+    the dense leg's values bit for bit, also after a frozen resistor is
+    demoted, and its densified ``G``/``C`` are read-only."""
     values = _OTA.parameter_space.values(np.asarray(indices, dtype=np.int64))
-    dense = MnaSystem(_OTA.build(values), engine="dense")
-    sparse = MnaSystem(_OTA.build(values), engine="sparse")
+    systems = []
+    for engine in ("dense", "sparse"):
+        net = _OTA.build(values)
+        net.add(Resistor("RL", "out", "0", 1e6))
+        systems.append(MnaSystem(net, engine=engine))
+    dense, sparse = systems
     rng = np.random.default_rng(int(np.sum(indices)) + 1)
     x = rng.uniform(-0.2, 1.2, size=dense.size)
     Ad, rd = dense.newton_matrices(x, gmin=1e-9)
@@ -121,6 +142,15 @@ def test_sparse_assembly_matches_dense(indices):
     np.testing.assert_allclose(rs, rd, rtol=0.0, atol=1e-13)
     np.testing.assert_allclose(sparse.residual(x), dense.residual(x),
                                rtol=0.0, atol=1e-13)
+    _assert_stamped_data_bitwise(sparse, dense)
+    for system in systems:
+        system.netlist["RL"].resistance *= 3.0
+        system.rebind_values()
+        assert system.resistor_values[-1] == 3e6
+    _assert_stamped_data_bitwise(sparse, dense)
+    for matrix in (sparse.G, sparse.C):
+        with pytest.raises(ValueError):
+            matrix[0, 0] = 1.0
 
 
 # -- batch-vs-scalar ---------------------------------------------------------

@@ -12,6 +12,7 @@ from repro.circuits import (
     ptm45,
 )
 from repro.sim import MnaSystem, engine_mode, solve_dc
+from repro.sim.system import StructureMismatch
 
 
 def _matrix_engine():
@@ -64,6 +65,26 @@ class TestStamps:
         get = system.voltage_getter(x)
         assert get("0") == 0.0
         assert get("in") == x[system.node_index["in"]]
+
+    def test_stamp_outside_sparse_pattern_raises(self):
+        """An element whose stamp positions depend on its value breaks
+        the structure contract; the sparse leg's stamper must raise
+        rather than drop the entry that has no place in the pattern."""
+
+        class OpenableResistor(Resistor):
+            def stamp(self, stamper):
+                if np.isfinite(self.resistance):
+                    super().stamp(stamper)
+
+        net = Netlist("openable")
+        net.add(VoltageSource("V1", "a", "0", dc=1.0))
+        net.add(Resistor("R1", "a", "b", 1e3))
+        net.add(OpenableResistor("R2", "b", "c", np.inf))
+        net.add(Resistor("R3", "c", "0", 1e3))
+        system = MnaSystem(net, engine="sparse")
+        net["R2"].resistance = 2e3
+        with pytest.raises(StructureMismatch, match="'openable'"):
+            system.rebind_values()
 
 
 class TestResidual:

@@ -22,6 +22,17 @@ def _rel_close(a, b, tol=1e-9):
     return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
 
 
+#: A one-step case that breaks the <= 1e-9 warm/cold contract, found by
+#: 300 random draws of ``test_one_step_delta`` (its 8 draws a run rarely
+#: hit it).  A fix would move the specs of every workload.
+_KNOWN_DEFECT = (
+    "FiveTransistorOta [92, 97, 64, 44] warm-started from [91, 97, 64, 44]: "
+    "dense warm gain 206.50798647 vs cold 206.50799482 (4.0e-8 relative), "
+    "ugbw 7.4e-8 apart; the sparse leg lands the same warm value and its "
+    "cold gain 206.50799342 is 3.4e-8 away.  Raising the Newton polish "
+    "rounds (_POLISH_ITERS) to 3 moves neither endpoint.")
+
+
 class TestWarmColdEquivalence:
     """Warm-vs-cold spec equivalence <= 1e-9 across one-grid-step deltas."""
 
@@ -48,6 +59,17 @@ class TestWarmColdEquivalence:
         neighbor = space.clip(idx.copy())
         neighbor[axis] = np.clip(neighbor[axis] + sign, 0,
                                  space.counts[axis] - 1)
+        self._check_step(engine, idx, neighbor)
+
+    @pytest.mark.parametrize("engine", ["dense", "sparse"])
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason=_KNOWN_DEFECT)
+    def test_known_one_step_defect(self, engine):
+        self._check_step(engine, np.array([92, 97, 64, 44]),
+                         np.array([91, 97, 64, 44]))
+
+    def _check_step(self, engine, idx, neighbor):
+        topology = self._topology(engine)
         sim = SchematicSimulator(topology, cache=False)
         topology.reset_warm_start()
         cold = sim.evaluate(idx)
