@@ -1,36 +1,41 @@
-"""Iterative (ILU+GMRES) vs sparse-direct engine on power-grid meshes.
+"""Iterative vs sparse-direct engine on power-grid meshes.
 
-Measures the PR-10 acceptance numbers on the
-:class:`~repro.topologies.power_grid.PowerGridOta` scenario family:
-warm DC Newton re-solves and AC sweeps at growing mesh sizes, on the
-sparse SuperLU engine and on the iterative Krylov engine, bracketing
-the crossover that backs the ``auto`` selector's second threshold
-(:data:`repro.sim.engine.ITERATIVE_AUTO_THRESHOLD`).
+Measures warm DC Newton re-solves and AC sweeps on the
+:class:`~repro.topologies.power_grid.PowerGridOta` scenario family at
+growing mesh sizes, on the sparse SuperLU engine and on the iterative
+engine, bracketing the crossover that backs the ``auto`` selector's
+second threshold (:data:`repro.sim.engine.ITERATIVE_AUTO_THRESHOLD`).
 
 Four timings per (engine, mesh) configuration:
 
 * ``eval`` — full warm evaluation (restamp + warm DC + AC sweep +
   specs), the RL hot-loop number;
-* ``dc``   — warm-started DC Newton re-solve after a sizing restamp
-  (the trust-gated Krylov win case: near-converged seed, endgame
-  steps only), wall clock;
+* ``dc``   — warm-started DC Newton re-solve after a sizing restamp,
+  wall clock.  On the iterative engine every mesh has a condensable
+  interior, so these gmin-0 steps are condensed
+  (:meth:`repro.sim.condense.Condensation.newton_operator`), not
+  ILU-GMRES; the record names them ``condensed_dc_ms``;
 * ``dcsol`` — the linear-algebra portion of the same warm DC loop
   (time inside the backend-agnostic ``_lu_factor``/``_lu_solve``
-  seam).  Warm DC wall time is Amdahl-capped by engine-independent
-  device-model assembly and residual evaluation, so this row is where
-  the engines actually differ — it is the "DC Newton" acceptance row;
+  seam; ``condensed_dcsol_ms`` on the iterative engine).  Warm DC wall
+  time is Amdahl-capped by engine-independent device-model assembly
+  and residual evaluation, so this row is where the engines actually
+  differ;
 * ``ac``   — one fresh AC sweep over the topology's frequency grid
   (per-point ``splu`` refactorisation vs one shared ILU anchor).
 
 Since the measurement pipeline condenses the mesh out of the AC sweep
 (:mod:`repro.sim.condense`), ``eval`` no longer pays ``ac``; ``ac``
 still times :func:`repro.sim.ac.ac_sweep`, which stays on the full
-system.  Two condensation rows per mesh, on the leg ``auto`` picks:
+system.  The condensation rows per mesh, on the leg ``auto`` picks:
 
-* ``reduce`` — the one-time reduction (partition plus the port
+* ``reduce`` — the one-time AC reduction (partition plus the port
   admittances over the topology's AC grid), paid once per structure;
-* ``condensed eval`` — the warm evaluation, next to the same loop with
-  the condensation switched off (``full eval``).
+* ``dc factor`` — the one-time DC factor (``splu`` of the interior
+  block plus the DC port correction), paid once per structure;
+* ``condensed eval`` — the warm evaluation with condensed AC and DC,
+  next to the same loop with the condensation switched off
+  (``full eval``: full AC, ILU-GMRES DC).
 
 Run directly::
 
@@ -153,6 +158,9 @@ def _bench_condensation(grid_n: int, n_evals: int, rng) -> dict:
     t0 = time.perf_counter()
     system.condensation.port_correction(topo.AC_FREQUENCIES)
     t_reduce = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    system.condensation.dc_factor()
+    t_dc_factor = time.perf_counter() - t0
 
     def warm_evals() -> float:
         topo.reset_warm_start()
@@ -172,9 +180,16 @@ def _bench_condensation(grid_n: int, n_evals: int, rng) -> dict:
     return {"scenario": f"power_grid_{grid_n}x{grid_n}",
             "unknowns": system.size, "engine": system.engine,
             "reduce_ms": t_reduce * 1e3,
+            "dc_factor_ms": t_dc_factor * 1e3,
             "condensed_eval_ms": t_condensed * 1e3,
             "full_eval_ms": t_full * 1e3,
             "eval_speedup": t_full / t_condensed}
+
+
+#: Record label of the iterative engine's timing per phase: its warm DC
+#: Newton steps on a mesh run through the condensation.
+_LEG = {"eval": "iterative", "dc": "condensed", "dcsol": "condensed",
+        "ac": "iterative"}
 
 
 def main() -> None:
@@ -195,7 +210,7 @@ def main() -> None:
                  "unknowns": size}
         for phase in ("eval", "dc", "dcsol", "ac"):
             entry[f"sparse_{phase}_ms"] = sparse[phase] * 1e3
-            entry[f"iterative_{phase}_ms"] = iterative[phase] * 1e3
+            entry[f"{_LEG[phase]}_{phase}_ms"] = iterative[phase] * 1e3
             entry[f"{phase}_speedup"] = sparse[phase] / iterative[phase]
         record["configs"].append(entry)
         rows.append((f"{grid_n}x{grid_n}", size, sparse, iterative))
@@ -218,7 +233,8 @@ def main() -> None:
         min(best["dcsol_speedup"], best["ac_speedup"]) if best else None)
     record["acceptance_5k_unknowns"] = best["unknowns"] if best else None
 
-    lines = ["iterative (ILU+GMRES) vs sparse (splu) — power-grid meshes",
+    lines = ["iterative vs sparse (splu) — power-grid meshes "
+             "(iterative dc/dcsol: condensed DC Newton; ac: ILU+GMRES)",
              f"{'mesh':<10} {'unknowns':>8} {'phase':>6} {'sparse':>10} "
              f"{'iterative':>10} {'speedup':>8}"]
     for name, size, sparse, iterative in rows:
@@ -243,12 +259,14 @@ def main() -> None:
         for grid_n, n_evals in [(71, 3), (122, 2)] + (
             [(223, 1)] if FULL_SCALE else [])]
     lines.append(f"{'mesh':<10} {'unknowns':>8} {'reduce':>10} "
-                 f"{'condensed':>10} {'full eval':>10} {'speedup':>8}")
+                 f"{'dc factor':>10} {'condensed':>10} {'full eval':>10} "
+                 f"{'speedup':>8}")
     for c in record["condensation"]:
         lines.append(
             f"{c['scenario'].removeprefix('power_grid_'):<10} "
             f"{c['unknowns']:>8d} "
-            f"{c['reduce_ms']:>8.1f}ms {c['condensed_eval_ms']:>8.1f}ms "
+            f"{c['reduce_ms']:>8.1f}ms {c['dc_factor_ms']:>8.1f}ms "
+            f"{c['condensed_eval_ms']:>8.1f}ms "
             f"{c['full_eval_ms']:>8.1f}ms {c['eval_speedup']:>7.2f}x")
     publish("krylov_engine.txt", "\n".join(lines))
     publish_json("krylov_engine", record)

@@ -138,12 +138,13 @@ EXPERIMENTS: dict[str, Experiment] = {
             "krylov_engine", "Iterative vs sparse-direct engine at mesh "
             "scale",
             "Beyond the paper: the power-grid OTA scenario family "
-            "(5k-50k MNA unknowns) runs its warm AC sweeps and DC "
-            "Newton re-solves on ILU-preconditioned GMRES, bracketing "
+            "(5k-50k MNA unknowns) runs its warm evaluations with DC "
+            "Newton and the AC sweep condensed onto the mesh boundary, "
+            "next to ILU-preconditioned GMRES sweeps, bracketing "
             "the sparse-vs-iterative crossover that sets the auto "
             "selector's second threshold",
             "benchmarks/bench_krylov_engine.py",
-            ("repro.sim.krylov", "repro.sim.engine",
+            ("repro.sim.krylov", "repro.sim.condense", "repro.sim.engine",
              "repro.topologies.power_grid")),
     ]
 }

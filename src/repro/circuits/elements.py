@@ -33,6 +33,7 @@ one-sided current-noise power spectral density [A^2/Hz] injected from
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -109,8 +110,9 @@ class Resistor(TwoTerminal):
 
     def __init__(self, name: str, p: str, n: str, resistance: float):
         super().__init__(name, p, n)
-        if resistance <= 0.0:
-            raise NetlistError(f"resistor {name}: resistance must be > 0, got {resistance}")
+        if not 0.0 < resistance < math.inf:
+            raise NetlistError(f"resistor {name}: resistance must be finite and "
+                               f"> 0, got {resistance}")
         self.resistance = float(resistance)
 
     def stamp(self, stamper) -> None:
@@ -139,8 +141,9 @@ class Capacitor(TwoTerminal):
 
     def __init__(self, name: str, p: str, n: str, capacitance: float):
         super().__init__(name, p, n)
-        if capacitance <= 0.0:
-            raise NetlistError(f"capacitor {name}: capacitance must be > 0, got {capacitance}")
+        if not 0.0 < capacitance < math.inf:
+            raise NetlistError(f"capacitor {name}: capacitance must be finite and "
+                               f"> 0, got {capacitance}")
         self.capacitance = float(capacitance)
 
     def stamp_key(self):
@@ -166,8 +169,9 @@ class Inductor(TwoTerminal):
 
     def __init__(self, name: str, p: str, n: str, inductance: float):
         super().__init__(name, p, n)
-        if inductance <= 0.0:
-            raise NetlistError(f"inductor {name}: inductance must be > 0, got {inductance}")
+        if not 0.0 < inductance < math.inf:
+            raise NetlistError(f"inductor {name}: inductance must be finite and "
+                               f"> 0, got {inductance}")
         self.inductance = float(inductance)
 
     def stamp_key(self):

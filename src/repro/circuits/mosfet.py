@@ -205,8 +205,9 @@ class Mosfet(Element):
         super().__init__(name, (d, g, s, b))
         if polarity not in ("nmos", "pmos"):
             raise NetlistError(f"mosfet {name}: polarity must be nmos/pmos")
-        if w <= 0 or l <= 0 or m <= 0:
-            raise NetlistError(f"mosfet {name}: w, l, m must be positive")
+        if not all(0.0 < v < math.inf for v in (w, l, m)):
+            raise NetlistError(
+                f"mosfet {name}: w, l, m must be finite and positive")
         self.polarity = polarity
         self.params = params
         self.w = float(w)

@@ -25,14 +25,25 @@ approximate model-order reduction:
   unknowns per frequency, one batched ``numpy.linalg.solve`` for the
   whole grid.
 
+DC Newton on the iterative leg condenses the same interior
+(:meth:`Condensation.newton_operator`).  At ``gmin == 0`` the Jacobian's
+interior block is the frozen ``G_II``: device stamps land on boundary
+rows only.  So ``G_II`` is factored once per structure, next to
+``W = G_II^-1 G_IP`` and ``Y0 = G_IP^T W``.  Each Newton step factors
+the dense boundary matrix ``A_BB - Y0`` and solves in delta form from
+the Newton iterate, ``x = x0 + K^-1 (rhs - A x0)``, refined against the
+full CSC operator until the backward error reaches the rounding plateau
+of :mod:`repro.sim.krylov`.  gmin rungs keep the Krylov path.
+
 The reduction is exact only for slices whose interior equals the one it
 was built from.  A stack can hold slices snapshotted from several
 systems (the corner-stacked PEX path fills one stack from several
-plans), so :func:`condensed_response` compares each slice's
-interior-coupled master-pattern data with the snapshot and leaves any
-other slice to the full path.  Interior-node responses, noise (interior
-resistors are noise sources), the step-response integrator,
-:func:`repro.sim.ac.ac_sweep` and DC Newton all stay on the full system.
+plans), so :func:`condensed_response` and the Newton operator compare
+each slice's interior-coupled master-pattern data with the snapshot and
+leave any other slice to the full path.  Interior-node responses, noise
+(interior resistors are noise sources), the step-response integrator,
+:func:`repro.sim.ac.ac_sweep` and the sparse-direct leg's DC Newton
+stay on the full system.
 """
 
 from __future__ import annotations
@@ -41,13 +52,19 @@ import numpy as np
 
 from repro.circuits.elements import Capacitor, Resistor
 from repro.sim.engine import SPARSE_AUTO_THRESHOLD
+from repro.sim.krylov import PLATEAU_TOL, REFINE_MAX
 from repro.sim.sparse import HAVE_SCIPY
 
 if HAVE_SCIPY:
     import scipy.sparse as _sp
+    from scipy.linalg import get_lapack_funcs
     from scipy.sparse.linalg import splu as _splu
+    # Raw LAPACK: a singular boundary matrix reports ``info > 0`` instead
+    # of the LinAlgWarning of ``scipy.linalg.lu_factor``.
+    _DGETRF, _DGETRS = get_lapack_funcs(
+        ("getrf", "getrs"), (np.empty((1, 1)), np.empty(1)))
 else:  # pragma: no cover - scipy is present in the toolchain
-    _sp = _splu = None
+    _sp = _splu = _DGETRF = _DGETRS = None
 
 #: Boundary size from which a system keeps the full path.  The boundary
 #: system is solved dense, which beats the sparse full path only below
@@ -99,12 +116,12 @@ def condense(system, previous: "Condensation | None" = None
 
 
 class Condensation:
-    """Interior/boundary split of one sparse system and its cached port
-    admittances (see the module docstring).
+    """Interior/boundary split of one sparse system, its cached port
+    admittances and its DC Newton factor (see the module docstring).
 
     Built from the system's current master-pattern data; the
     interior-coupled part of that data is kept as the snapshot
-    :meth:`matches` compares slices against.
+    :meth:`matches` and :meth:`newton_operator` compare slices against.
     """
 
     def __init__(self, system, interior: np.ndarray):
@@ -153,6 +170,9 @@ class Condensation:
         self._bb_rows = self._local[rows[self._bb_pos]]
         self._bb_cols = self._local[cols[self._bb_pos]]
         self._ycorr: dict[bytes, np.ndarray | None] = {}
+        self._state = st
+        self._dc: tuple | None = None
+        self._dc_built = False
 
     def matches(self, G_data: np.ndarray, C_data: np.ndarray) -> bool:
         """Whether master-pattern data carry exactly the interior this
@@ -160,6 +180,35 @@ class Condensation:
         p = self._ic_pos
         return (np.array_equal(G_data[p], self._G_ic)
                 and np.array_equal(C_data[p], self._C_ic))
+
+    def dc_factor(self) -> tuple | None:
+        """``(lu, W, Y0)``: ``splu`` of the frozen ``G_II``, ``W = G_II^-1
+        G_IP`` and the DC port correction ``Y0 = G_IP^T W``, computed once
+        per condensation.  None when ``G_II`` is singular, which leaves DC
+        Newton to the Krylov path."""
+        if not self._dc_built:
+            self._dc_built = True
+            n_in = len(self.interior)
+            G_ii = _sp.csc_matrix((self._G_ii, self._ii_rows, self._ii_ptr),
+                                  shape=(n_in, n_in))
+            try:
+                lu = _splu(G_ii, permc_spec="MMD_AT_PLUS_A")
+            except RuntimeError:
+                return None
+            W = lu.solve(self._G_ip)
+            self._dc = (lu, W, self._G_ip.T @ W)
+        return self._dc
+
+    def newton_operator(self, data: np.ndarray, x0: np.ndarray,
+                        gmin: float) -> "CondensedNewton | None":
+        """The condensed Newton step over master-pattern Jacobian ``data``
+        from iterate ``x0``; None on a gmin rung, when ``data``'s
+        interior-coupled entries differ from the snapshot and when
+        ``G_II`` is singular (the caller keeps the Krylov path)."""
+        if (gmin != 0.0 or not np.array_equal(data[self._ic_pos], self._G_ic)
+                or self.dc_factor() is None):
+            return None
+        return CondensedNewton(self, data, x0)
 
     def port_correction(self, frequencies) -> np.ndarray | None:
         """``(F, P, P)`` port admittances ``A_PI A_II^-1 A_IP`` over the
@@ -206,6 +255,73 @@ class Condensation:
         rhs = np.broadcast_to(b[:, None, self.boundary, None],
                               (m, len(omega), nb, 1))
         return np.linalg.solve(A, rhs)[..., 0]
+
+
+class CondensedNewton:
+    """One Newton step of the iterative leg through a
+    :class:`Condensation`: the operator and factor consumed by the
+    ``_lu_factor``/``_lu_solve`` seam of :mod:`repro.sim.dc`."""
+
+    def __init__(self, cond: Condensation, data: np.ndarray,
+                 x0: np.ndarray):
+        self._cond = cond
+        self._data = data
+        self._x0 = x0
+        self._lu = self._piv = None
+
+    def newton_factor(self) -> "CondensedNewton | None":
+        """Factor the dense boundary Schur matrix ``A_BB - Y0``; None when
+        it is singular, as ``splu`` reports a singular Jacobian."""
+        cond = self._cond
+        nb = len(cond.boundary)
+        S = np.zeros((nb, nb))
+        S[cond._bb_rows, cond._bb_cols] = self._data[cond._bb_pos]
+        p = cond._port_local
+        S[p[:, None], p] -= cond.dc_factor()[2]
+        self._lu, self._piv, info = _DGETRF(S, overwrite_a=True)
+        return self if info == 0 else None
+
+    def _apply(self, r: np.ndarray) -> np.ndarray:
+        """``K^-1 r`` by block elimination: one ``G_II`` solve, one
+        boundary solve."""
+        cond = self._cond
+        lu, W, _ = cond.dc_factor()
+        y = lu.solve(r[cond.interior])
+        rb = r[cond.boundary]
+        rb[cond._port_local] -= cond._G_ip.T @ y
+        xb, _ = _DGETRS(self._lu, self._piv, rb)
+        x = np.empty_like(r)
+        x[cond.boundary] = xb
+        x[cond.interior] = y - W @ xb[cond._port_local]
+        return x
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """Solve ``A x = b`` in delta form from the Newton iterate, refined
+        on the full operator until the normwise backward error
+        ``|b - A x| / (|A| |x| + |b|)`` reaches :data:`PLATEAU_TOL` or
+        stops contracting."""
+        st = self._cond._state
+        A = st.matrix(self._data)
+        Anorm = float(np.bincount(st.pat_rows, np.abs(self._data),
+                                  minlength=st.n).max())
+        bnorm = float(np.max(np.abs(b)))
+        x, eta = self._x0, np.inf
+        r = b - A @ x
+        for _round in range(1 + REFINE_MAX):
+            x_new = x + self._apply(r)
+            r_new = b - A @ x_new
+            denom = Anorm * float(np.max(np.abs(x_new))) + bnorm
+            eta_new = float(np.max(np.abs(r_new)))
+            if denom > 0.0:
+                eta_new /= denom
+            if eta_new >= 0.5 * eta:   # contraction stalled: at the plateau
+                if eta_new < eta:
+                    x = x_new
+                break
+            x, r, eta = x_new, r_new, eta_new
+            if eta <= PLATEAU_TOL:
+                break
+        return x
 
 
 def condensed_response(stack, rows: np.ndarray, g3: np.ndarray,

@@ -38,15 +38,16 @@ def _lu_factor(A):
     """LU-factor ``A`` (overwritten); None when singular.
 
     Accepts a dense array (LAPACK getrf), a scipy CSC matrix from the
-    sparse engine (:func:`scipy.sparse.linalg.splu`), or a
-    :class:`~repro.sim.krylov.KrylovOperator` from the iterative engine
-    (duck-typed via its ``krylov_factor`` attribute); the Newton driver
-    never needs to know which backend assembled its Jacobian.
+    sparse engine (:func:`scipy.sparse.linalg.splu`), or an operator of
+    the iterative engine (duck-typed via its ``newton_factor``
+    attribute): a :class:`~repro.sim.condense.CondensedNewton` step or a
+    :class:`~repro.sim.krylov.KrylovOperator`.  The Newton driver never
+    needs to know which backend assembled its Jacobian.
     """
-    krylov = getattr(A, "krylov_factor", None)
-    if krylov is not None:             # iterative engine: ILU + GMRES
-        factor = krylov()
-        return ("krylov", factor) if factor is not None else None
+    newton_factor = getattr(A, "newton_factor", None)
+    if newton_factor is not None:      # iterative engine
+        factor = newton_factor()
+        return ("iterative", factor) if factor is not None else None
     if not isinstance(A, np.ndarray):  # sparse engine: CSC + SuperLU
         try:
             from scipy.sparse.linalg import splu
@@ -64,7 +65,7 @@ def _lu_factor(A):
 
 def _lu_solve(lu, b: np.ndarray) -> np.ndarray:
     """Solve with factors from :func:`_lu_factor`."""
-    if isinstance(lu[0], str):     # ("sparse", SuperLU)/("krylov", factor)
+    if isinstance(lu[0], str):     # ("sparse", SuperLU)/("iterative", f)
         return lu[1].solve(b)
     if len(lu) == 2:
         x, _ = _DGETRS(lu[0], lu[1], b)

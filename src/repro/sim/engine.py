@@ -32,7 +32,9 @@ so tests can monkeypatch it per-case):
   factorisation) but invaluable for the engine-equivalence test matrix.
 * ``iterative`` — force the Krylov leg everywhere.  Same assembly as
   ``sparse``; solves run preconditioned GMRES with a direct-``splu``
-  fallback on non-convergence, so forcing it is always safe.
+  fallback on non-convergence, so forcing it is always safe.  A system
+  with a condensable interior solves its gmin-0 Newton steps through
+  :mod:`repro.sim.condense` instead.
 
 Callers that need a specific backend regardless of the environment pass
 ``engine="dense"``/``"sparse"``/``"iterative"`` explicitly to

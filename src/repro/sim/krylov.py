@@ -10,12 +10,16 @@ of :class:`~repro.sim.sparse.SparseState` — one master sparsity pattern,
 ``O(nnz)`` data refreshes — and replaces the ``splu`` factorisations
 with preconditioned Krylov iteration:
 
-* **DC Newton** — :class:`KrylovState` holds one incomplete-LU
-  preconditioner per system, re-factored only when the Jacobian data
-  drifts past :data:`DRIFT_TOL` (relative L1).  Consecutive Newton
-  steps — and consecutive *evaluations* in a sizing loop, since the
-  cache deliberately survives restamps — reuse the same ILU; each step
-  then costs a handful of matvecs instead of a fresh factorisation.
+* **DC Newton** — systems with a condensable interior (the supply
+  meshes) solve their gmin-0 steps through
+  :meth:`repro.sim.condense.Condensation.newton_operator` instead;
+  everything else lands here.  :class:`KrylovState` holds one
+  incomplete-LU preconditioner per system, re-factored only when the
+  Jacobian data drifts past :data:`DRIFT_TOL` (relative L1).
+  Consecutive Newton steps — and consecutive *evaluations* in a sizing
+  loop, since the cache deliberately survives restamps — reuse the same
+  ILU; each step then costs a handful of matvecs instead of a fresh
+  factorisation.
   Every solve warm-starts from the current Newton iterate, so the
   trajectory seeds that already cut Newton step counts cut Krylov
   iterations the same way: a near-converged seed makes ``x0`` almost
@@ -327,7 +331,7 @@ class KrylovFactor:
     """The iterative engine's stand-in for one LU factorisation.
 
     Produced by :meth:`KrylovState.factor` and consumed through the
-    backend-agnostic ``("krylov", factor)`` branch of
+    backend-agnostic ``("iterative", factor)`` branch of
     :func:`repro.sim.dc._lu_factor` / ``_lu_solve``.  :meth:`solve`
     implements the trust gate described on :class:`KrylovState`: in
     trusted (endgame) mode it runs refined preconditioned GMRES
@@ -404,7 +408,7 @@ class KrylovOperator:
 
     Carries the master-pattern data and the Newton iterate (the warm
     start); :func:`repro.sim.dc._lu_factor` recognises the
-    :meth:`krylov_factor` attribute and treats the result like LU
+    :meth:`newton_factor` attribute and treats the result like LU
     factors.
     """
 
@@ -415,7 +419,7 @@ class KrylovOperator:
         self._x0 = x0
         self._gmin = gmin
 
-    def krylov_factor(self) -> KrylovFactor | None:
+    def newton_factor(self) -> KrylovFactor | None:
         """The solve handle for this operator (None when unusable)."""
         return self._kstate.factor(self._data, self._x0, gmin=self._gmin)
 

@@ -448,9 +448,14 @@ class SparseSlice:
         if gmin > 0.0:
             data[st.node_diag_pos] += gmin
         if self._krylov is not None:
-            return self._krylov.operator(
-                data, x0=np.array(x[:self.size], dtype=float),
-                gmin=gmin), rhs
+            # The template's condensed step where it is exact, else Krylov
+            # (see MnaSystem._newton_matrices_sparse).
+            x0 = np.array(x[:self.size], dtype=float)
+            cond = self._tpl.condensation
+            op = None if cond is None else cond.newton_operator(data, x0, gmin)
+            if op is None:
+                op = self._krylov.operator(data, x0=x0, gmin=gmin)
+            return op, rhs
         return st.matrix(data), rhs
 
     def residual(self, x: np.ndarray, source_scale: float = 1.0) -> np.ndarray:

@@ -48,10 +48,11 @@ structure-cached CSC pattern of :class:`repro.sim.sparse.SparseState`
 (one fixed sparsity pattern per structure), factor their Newton/AC/
 transient operators on it and hold no ``(n, n)`` array (``G``/``C`` are
 densified on access, and the large dense scatter maps are lazy for the
-same reason).  The ``iterative`` leg shares that CSC assembly but uses
-ILU-preconditioned Krylov solves (:mod:`repro.sim.krylov`) instead of
-``splu`` for the 10^4-unknown mesh scenarios where direct factorisation
-walls.
+same reason).  The ``iterative`` leg shares that CSC assembly but
+replaces ``splu`` for the 10^4-unknown mesh scenarios where direct
+factorisation walls: gmin-0 DC Newton steps solve through the mesh's
+condensation (:mod:`repro.sim.condense`) and everything else through
+ILU-preconditioned Krylov solves (:mod:`repro.sim.krylov`).
 """
 
 from __future__ import annotations
@@ -373,15 +374,15 @@ class MnaSystem:
         self._resistors = tuple(e for e in self._linear
                                 if isinstance(e, Resistor))
         self._const_elems: list = []
+        self._const_keys: list = []   # stamp keys, aligned with _const_elems
         self._var_elems: list = []
-        self._elem_keys: dict[str, object] = {}
         for element in self._linear:
             key = element.stamp_key()
             if key is None:
                 self._var_elems.append(element)
             else:
                 self._const_elems.append(element)
-                self._elem_keys[element.name] = key
+                self._const_keys.append(key)
         self._rebuild_base()
         self._refresh_values()
 
@@ -398,8 +399,9 @@ class MnaSystem:
         for element in self._const_elems:
             element.stamp(self._base_stamper)
         self.resistor_values[:] = [e.resistance for e in self._resistors]
+        const = {id(e) for e in self._const_elems}
         self._var_resistors = [(k, e) for k, e in enumerate(self._resistors)
-                               if e.name not in self._elem_keys]
+                               if id(e) not in const]
 
     def _refresh_values(self) -> None:
         """Recompute everything value-dependent from the bound netlist.
@@ -448,19 +450,23 @@ class MnaSystem:
         no element re-collection — used by topologies that support
         in-place sizing updates (:meth:`Topology.update_netlist`).  An
         element whose :meth:`~Element.stamp_key` changed is demoted from
-        the frozen base to the per-rebind stamp list (one-time cost)."""
-        demoted = False
-        if self._const_elems:
-            keep = []
-            for element in self._const_elems:
-                if element.stamp_key() != self._elem_keys[element.name]:
+        the frozen base to the per-rebind stamp list (one-time cost).
+
+        One list comparison of all frozen keys covers the steady state;
+        the per-element scan runs only when it fails.  (The comparison
+        takes an identical key object as equal; element constructors
+        reject the NaN values where that differs from ``!=``.)"""
+        if (self._const_elems and [e.stamp_key() for e in self._const_elems]
+                != self._const_keys):
+            keep, keys = [], []
+            for element, key in zip(self._const_elems, self._const_keys):
+                if element.stamp_key() != key:
                     self._var_elems.append(element)
-                    del self._elem_keys[element.name]
-                    demoted = True
                 else:
                     keep.append(element)
-            if demoted:
-                self._const_elems = keep
+                    keys.append(key)
+            if len(keep) < len(self._const_elems):
+                self._const_elems, self._const_keys = keep, keys
                 self._rebuild_base()
         self._refresh_values()
         return self
@@ -548,9 +554,12 @@ class MnaSystem:
         precomputed maps — O(1) Python calls regardless of device count.
 
         Sparse systems return ``A`` as a CSC matrix over the structure's
-        master pattern instead of a dense array; the DC Newton driver's
+        master pattern instead of a dense array, and iterative systems an
+        operator over it (a condensed step from
+        :meth:`~repro.sim.condense.Condensation.newton_operator` or a
+        :class:`~repro.sim.krylov.KrylovOperator`); the DC Newton driver's
         factorisation layer (:func:`repro.sim.dc._lu_factor`) handles
-        both forms transparently.
+        every form transparently.
         """
         if self.sparse:
             return self._newton_matrices_sparse(x, gmin, source_scale)
@@ -601,12 +610,16 @@ class MnaSystem:
         if gmin > 0.0:
             data[st.node_diag_pos] += gmin
         if self.iterative:
-            # Hand the driver a Krylov operator instead of a CSC matrix:
-            # the current iterate warm-starts the linear solve, so
-            # trajectory-seeded Newton cuts Krylov iterations too.
-            return self.krylov_state.operator(
-                data, x0=np.array(x[:self.size], dtype=float),
-                gmin=gmin), rhs
+            # Hand the Newton driver an operator, not a CSC matrix: the
+            # condensed step where it is exact, else Krylov.  Both start
+            # from the current iterate, so trajectory-seeded Newton cuts
+            # the linear work too.
+            x0 = np.array(x[:self.size], dtype=float)
+            cond = self.condensation
+            op = None if cond is None else cond.newton_operator(data, x0, gmin)
+            if op is None:
+                op = self.krylov_state.operator(data, x0=x0, gmin=gmin)
+            return op, rhs
         return st.matrix(data), rhs
 
     def _sparse_G_data(self) -> np.ndarray:

@@ -9,11 +9,10 @@ power-integrity problem of digital/mixed-signal signoff:
 * a ``grid_n x grid_n`` **power mesh** — series resistance along every
   horizontal and vertical edge, a decoupling capacitor from every node
   to ground — fed from the clean supply through tap resistors at the
-  four corners.  The mesh is where the unknowns live: its 2-D Laplacian
-  sparsity (~5 entries per row) is exactly the structure on which
-  incomplete-LU-preconditioned Krylov iteration beats direct
-  factorisation, because SuperLU's fill-in and ordering costs grow
-  superlinearly on 2-D meshes while ILU+GMRES stays ~O(nnz) per solve.
+  four corners.  The mesh is where the unknowns live, and no sizing
+  touches it: :mod:`repro.sim.condense` eliminates it exactly once per
+  structure, so every DC Newton step and AC sweep solves only the ~21
+  unknowns on its boundary (amp terminals, taps, sources).
 * ``n_amps`` identical 5T OTAs wired as unity-gain buffers, each drawing
   its supply from a mesh tap along the grid diagonal (source *and* well
   of the PMOS loads ride the local grid voltage, so IR drop and supply
@@ -27,7 +26,10 @@ configuration lands at ~270 unknowns (sparse territory, like the full
 chain), while the benchmark family (``benchmarks/bench_krylov_engine.py``)
 constructs 70/122/223-point grids for ~5k/15k/50k unknowns — past
 :data:`repro.sim.engine.ITERATIVE_AUTO_THRESHOLD`, where ``auto`` routes
-them to :mod:`repro.sim.krylov`.  Zoo-registered variants
+them to the iterative leg.  There the condensed steps carry the warm
+sizing loop, and the ILU-preconditioned Krylov solves of
+:mod:`repro.sim.krylov` serve only gmin-continuation rungs.
+Zoo-registered variants
 (``power_grid_ota`` + sweeps) stay test-sized for the same reason the
 chain's do: every registered scenario runs through the golden and
 engine-equivalence matrices on the *dense* CI leg, whose scatter maps
@@ -219,9 +221,10 @@ class PowerGridOta(Topology):
 
         Only the device widths vary with the sizing — the mesh is fixed
         by construction — so the restamp fast path touches 5 elements
-        per amp and nothing else.  This is also what makes the iterative
-        engine's cross-evaluation ILU reuse pay: the mesh dominates the
-        Jacobian data vector and never moves between sizings.
+        per amp and nothing else.  Because the mesh never moves between
+        sizings, its frozen stamps stay in the base and
+        :mod:`repro.sim.condense` factors it once per structure for both
+        DC Newton and the AC sweep.
         """
         net["MB"].w = values["w_bias"]
         for a in range(1, self.n_amps + 1):
@@ -239,11 +242,9 @@ class PowerGridOta(Topology):
     def measurements(self) -> MeasurementPlan:
         """Buffer gain, probe -3 dB bandwidth and total supply current.
 
-        One AC sweep at the probe node serves both AC specs; the sweep
-        runs through the engine the system resolved to — block-diagonal
-        ``splu`` factors on the sparse leg, shifted-ILU
-        :class:`~repro.sim.krylov.KrylovSweep` solves on the iterative
-        one.
+        One AC sweep at the probe node serves both AC specs; on both
+        sparse legs it runs condensed onto the mesh boundary
+        (:func:`repro.sim.condense.condensed_response`).
         """
         freqs = self.AC_FREQUENCIES
         return MeasurementPlan([

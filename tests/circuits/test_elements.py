@@ -12,7 +12,9 @@ from repro.circuits import (
     Vccs,
     Vcvs,
     VoltageSource,
+    ptm45,
 )
+from repro.circuits.mosfet import Mosfet
 from repro.errors import NetlistError
 from repro.sim import MnaSystem, solve_dc
 from repro.units import BOLTZMANN, ROOM_TEMPERATURE
@@ -32,6 +34,24 @@ class TestConstruction:
     def test_inductor_rejects_nonpositive(self):
         with pytest.raises(NetlistError):
             Inductor("L1", "a", "b", 0.0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       -float("inf")])
+    @pytest.mark.parametrize("make", [
+        lambda v: Resistor("R1", "a", "b", v),
+        lambda v: Capacitor("C1", "a", "b", v),
+        lambda v: Inductor("L1", "a", "b", v),
+        lambda v: Mosfet("M1", "d", "g", "s", "b", polarity="nmos",
+                         params=ptm45().nmos, w=v, l=1e-6),
+        lambda v: Mosfet("M1", "d", "g", "s", "b", polarity="nmos",
+                         params=ptm45().nmos, w=1e-6, l=v),
+        lambda v: Mosfet("M1", "d", "g", "s", "b", polarity="nmos",
+                         params=ptm45().nmos, w=1e-6, l=1e-6, m=v),
+    ], ids=["resistor", "capacitor", "inductor", "mosfet_w", "mosfet_l",
+            "mosfet_m"])
+    def test_rejects_non_finite_values(self, make, value):
+        with pytest.raises(NetlistError, match="finite"):
+            make(value)
 
     def test_empty_name_rejected(self):
         with pytest.raises(NetlistError):

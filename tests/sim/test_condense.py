@@ -11,10 +11,16 @@ the dense one included.  The contract under test
   variable elements on the boundary;
 * one reduction per (structure, grid), rebuilt after a demotion;
 * a slice whose interior data differ, an interior node and noise all
-  stay on the full path.
+  stay on the full path;
+* on the iterative leg, gmin-0 DC Newton steps solve through the
+  condensation (one interior factor per structure) and agree with the
+  Krylov path to the leg's 1e-8 bar; gmin rungs, slices with other
+  interior data and singular boundary systems keep today's behaviour.
 """
 
 from __future__ import annotations
+
+import warnings
 
 import numpy as np
 import pytest
@@ -24,10 +30,12 @@ pytest.importorskip("scipy")
 import repro.sim.condense as condense_mod
 from repro.circuits.elements import Capacitor, Resistor
 from repro.measure.pipeline import MeasureContext
-from repro.sim import MnaSystem, solve_dc
+from repro.sim import MnaSystem, dc, solve_dc
 from repro.sim.batch import SystemStack
-from repro.sim.condense import condensed_response
+from repro.sim.condense import CondensedNewton, condensed_response
+from repro.sim.krylov import KrylovOperator
 from repro.sim.noise import noise_analysis
+from repro.sim.sparse import SparseSlice, solve_dc_batch_sparse
 from repro.sim.stamp import StampPlan
 from repro.topologies import PowerGridOta
 from repro.zoo import registry
@@ -144,7 +152,9 @@ def test_one_reduction_per_structure_then_rebuild_on_demotion(
     topology = PowerGridOta(grid_n=6, n_amps=2)
     plan = StampPlan(topology.build, updater=topology.update_netlist,
                      engine=engine)
-    F = len(topology.AC_FREQUENCIES)
+    # One splu per AC grid point, plus the DC interior factor on the
+    # iterative leg (the only leg whose Newton steps are condensed).
+    F = len(topology.AC_FREQUENCIES) + (engine == "iterative")
     space = topology.parameter_space
     x = None
     for delta in range(4):
@@ -234,3 +244,130 @@ def test_master_pattern_is_read_only():
         matrix.eliminate_zeros()
     assert np.array_equal(st.indices, indices)
     assert np.array_equal(st.indptr, indptr)
+
+
+# -- condensed DC Newton (iterative leg) --------------------------------------
+def _krylov_solves(system) -> int:
+    return system.krylov_state.stats.take()["solves"]
+
+
+def _walk(topology, x: np.ndarray, steps: int = 4
+          ) -> tuple[list, list, list, int]:
+    """A one-step walk on the iterative leg warm-started from ``x``:
+    operating points, specs and Newton iteration counts per step, and
+    the Krylov solves the walk took."""
+    plan = StampPlan(topology.build, updater=topology.update_netlist,
+                     engine="iterative")
+    space = topology.parameter_space
+    point = np.asarray(space.center)
+    xs, specs, iters = [], [], []
+    for step in range(steps):
+        point = space.clip(point + (1 if step % 2 else -1))
+        system = plan.restamp(space.values(point))
+        op = solve_dc(system, x0=x)
+        x = op.x
+        xs.append(op.x)
+        specs.append(topology.measure(system, op))
+        iters.append(op.iterations)
+    return xs, specs, iters, _krylov_solves(system)
+
+
+def test_condensed_walk_matches_krylov_walk(monkeypatch):
+    topology = PowerGridOta(grid_n=8, n_amps=2)
+    x = solve_dc(_system(topology, "sparse")).x
+    xs, specs, iters, solves = _walk(topology, x)
+    monkeypatch.setattr(MnaSystem, "condensation", property(lambda s: None))
+    ref_xs, ref_specs, ref_iters, ref_solves = _walk(topology, x)
+    assert solves == 0 and ref_solves > 0
+    assert iters == ref_iters
+    for got, ref in zip(xs, ref_xs):
+        scale = max(1.0, float(np.abs(ref).max()))
+        np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-8 * scale)
+    for got, ref in zip(specs, ref_specs):
+        for name in ref:
+            assert got[name] == pytest.approx(ref[name], rel=1e-8), name
+
+
+def test_gmin_zero_steps_are_condensed_and_rungs_take_krylov():
+    system = _system(PowerGridOta(grid_n=6, n_amps=2), "iterative")
+    x = solve_dc(system).x
+    assert _krylov_solves(system) == 0
+    A, _ = system.newton_matrices(x)
+    assert isinstance(A, CondensedNewton)
+
+    A, _ = system.newton_matrices(x, gmin=1e-6)
+    assert isinstance(A, KrylovOperator)
+    dc._newton(system, x, 1e-6, 1.0, 120, 1e-3, 1e-9, 0.4)
+    assert _krylov_solves(system) > 0
+
+
+def _iterative_stack(topology, netlists) -> tuple[list, SystemStack]:
+    systems = [_system(topology, "iterative", n) for n in netlists]
+    stack = SystemStack(systems[0], len(systems))
+    for i, system in enumerate(systems):
+        stack.set_design(i, system)
+    return systems, stack
+
+
+def test_stack_batch_uses_the_template_factor(monkeypatch):
+    topology = PowerGridOta(grid_n=5, n_amps=2)
+    space = topology.parameter_space
+    other = space.values(space.clip(np.asarray(space.center) + 3))
+    systems, stack = _iterative_stack(
+        topology, [topology.build(_center(topology)), topology.build(other)])
+    calls = _counting_splu(monkeypatch)
+    result = solve_dc_batch_sparse(stack)
+    assert result.converged.all()
+    assert _krylov_solves(systems[0]) == 0 and len(calls) == 1
+    for x, system in zip(result.x, systems):
+        np.testing.assert_allclose(x, solve_dc(system).x, rtol=0.0,
+                                   atol=1e-12)
+
+
+def test_slice_with_other_interior_takes_krylov_dc():
+    topology = PowerGridOta(grid_n=5, n_amps=2)
+    netlist = topology.build(_center(topology))
+    netlist["RV1_2"].resistance *= 2.0
+    systems, stack = _iterative_stack(
+        topology, [topology.build(_center(topology)), netlist])
+    solve_dc(SparseSlice(stack, 0))
+    assert _krylov_solves(systems[0]) == 0
+    other = solve_dc(SparseSlice(stack, 1))
+    assert _krylov_solves(systems[0]) > 0
+    ref = solve_dc(systems[1]).x
+    scale = max(1.0, float(np.abs(ref).max()))
+    np.testing.assert_allclose(other.x, ref, rtol=0.0, atol=1e-8 * scale)
+
+
+def test_refinement_corrects_an_inexact_factor():
+    """The condensed step refines on the full operator, so a slightly
+    wrong port correction still lands where the exact one does."""
+    system = _system(PowerGridOta(grid_n=6, n_amps=2), "iterative")
+    x = solve_dc(system).x
+    A, rhs = system.newton_matrices(x + 1e-3)
+    exact = dc._lu_solve(dc._lu_factor(A), rhs)
+    ref = condense_mod._splu(system.sparse_state.matrix(A._data)).solve(rhs)
+    np.testing.assert_allclose(exact, ref, rtol=0.0,
+                               atol=1e-10 * np.abs(ref).max())
+    cond = system.condensation
+    lu, W, Y0 = cond.dc_factor()
+    cond._dc = (lu, W, Y0 * (1.0 + 1e-6))
+    got = dc._lu_solve(dc._lu_factor(A), rhs)
+    np.testing.assert_allclose(got, exact, rtol=0.0,
+                               atol=1e-12 * np.abs(exact).max())
+
+
+def test_singular_boundary_system_is_a_failed_factorisation():
+    system = _system(PowerGridOta(grid_n=5, n_amps=2), "iterative")
+    cond = system.condensation
+    A, _ = system.newton_matrices(np.zeros(system.size))
+    data = A._data.copy()
+    # Zero the boundary-block row of a boundary unknown off the ports:
+    # no port correction lands there, so the Schur matrix turns singular.
+    row = cond._local[np.setdiff1d(cond.boundary, cond.ports)[0]]
+    data[cond._bb_pos[cond._bb_rows == row]] = 0.0
+    step = cond.newton_operator(data, np.zeros(system.size), 0.0)
+    assert step is not None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert dc._lu_factor(step) is None

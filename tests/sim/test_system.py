@@ -79,8 +79,10 @@ class TestStamps:
         net = Netlist("openable")
         net.add(VoltageSource("V1", "a", "0", dc=1.0))
         net.add(Resistor("R1", "a", "b", 1e3))
-        net.add(OpenableResistor("R2", "b", "c", np.inf))
+        net.add(OpenableResistor("R2", "b", "c", 2e3))
         net.add(Resistor("R3", "c", "0", 1e3))
+        # Open R2 in place: element constructors reject non-finite values.
+        net["R2"].resistance = np.inf
         system = MnaSystem(net, engine="sparse")
         net["R2"].resistance = 2e3
         with pytest.raises(StructureMismatch, match="'openable'"):
