@@ -24,10 +24,11 @@ entries polarity-independent (see :meth:`Mosfet.eval_companion`).
 Array evaluation
 ----------------
 The Newton hot loop does not call :meth:`Mosfet.eval_companion` per device;
-it evaluates *all* devices at once through :class:`DeviceArrays` (stacked
-per-device constants) and :func:`eval_companion_batch`, which accept any
-leading batch shape — ``(K,)`` terminal voltages for one design or
-``(B, K)`` for a stacked batch of designs.  The scalar entry points remain
+it evaluates *all* devices at once through :class:`DeviceArrays` (the
+per-device constants packed into one ``(13, ..., K)`` array) and
+:func:`eval_companion_batch`, which accept any leading batch shape —
+``(K,)`` terminal voltages for one design or ``(B, K)`` for a stacked
+batch of designs.  The scalar entry points remain
 as the readable reference implementation and are property-tested against
 the array path in ``tests/circuits/test_mosfet.py``.
 """
@@ -219,18 +220,22 @@ class Mosfet(Element):
     # -- terminal helpers --------------------------------------------------
     @property
     def d(self) -> str:
+        """Drain node name."""
         return self.nodes[0]
 
     @property
     def g(self) -> str:
+        """Gate node name."""
         return self.nodes[1]
 
     @property
     def s(self) -> str:
+        """Source node name."""
         return self.nodes[2]
 
     @property
     def b(self) -> str:
+        """Bulk node name."""
         return self.nodes[3]
 
     # -- large signal -------------------------------------------------------
@@ -342,35 +347,49 @@ class Mosfet(Element):
 # Vectorised (array) evaluation
 # ---------------------------------------------------------------------------
 
-@dataclasses.dataclass(frozen=True)
 class DeviceArrays:
-    """Per-device constants of K MOSFETs, stacked into arrays.
+    """Per-device constants of K MOSFETs, packed into one array.
 
-    Built once per netlist binding (cheap) and reused across Newton
-    iterations; every field broadcasts against terminal-voltage arrays of
-    shape ``(..., K)``, so the same object drives both single-design and
-    stacked-batch evaluation.  ``beta``/``lam`` are the width/length-derived
-    composites the channel model actually consumes, precomputed so the hot
-    loop never touches Python-object device attributes.
+    ``data`` has shape ``(13, ..., K)``: one row per constant, in the
+    order of :attr:`FIELDS`, and every named field below is a view of its
+    row.  A single design's bank is ``(13, K)``; a stacked bank of B
+    designs is ``(13, B, K)``, so :meth:`take` (select designs) and
+    :meth:`stack` (join banks) are one numpy operation each, whatever the
+    number of fields.  Every field broadcasts against terminal-voltage
+    arrays of shape ``(..., K)``, so the same object drives both
+    single-design and stacked-batch evaluation.  ``beta``/``lam`` are the
+    width/length-derived composites the channel model actually consumes,
+    precomputed so the hot loop never touches Python-object device
+    attributes.
+
+    Fields: ``beta`` (kp W m / L), ``lam`` (lambda_l / L), ``vth0``,
+    ``body_k``, ``subth`` (subthreshold softplus width), ``sign`` (+1
+    NMOS, -1 PMOS), ``c_area`` (cox W L m), ``c_ov`` (c_overlap W m),
+    ``c_j`` (c_junction W m), ``gamma_n`` (channel thermal-noise gamma),
+    ``kf`` (flicker-noise coefficient), and the hot-loop derived
+    ``inv_subth`` (1 / subth) and ``lam_sp`` (lam * the CLM smoothing
+    width).
+
+    A bank an :class:`~repro.sim.system.MnaSystem` owns is replaced, never
+    mutated, on restamp; a :class:`~repro.sim.batch.SystemStack` refills
+    its own bank in place slice by slice.
     """
 
-    beta: np.ndarray       # kp * W * m / L
-    lam: np.ndarray        # lambda_l / L
-    vth0: np.ndarray
-    body_k: np.ndarray
-    subth: np.ndarray      # subthreshold softplus width
-    sign: np.ndarray       # +1 NMOS, -1 PMOS
-    c_area: np.ndarray     # cox * W * L * m
-    c_ov: np.ndarray       # c_overlap * W * m
-    c_j: np.ndarray        # c_junction * W * m
-    gamma_n: np.ndarray    # channel thermal-noise gamma
-    kf: np.ndarray         # flicker-noise coefficient
-    inv_subth: np.ndarray  # 1 / subth (hot-loop derived)
-    lam_sp: np.ndarray     # lam * _CLM_SMOOTH_V
+    #: Row names of :attr:`data`, in order.
+    FIELDS = ("beta", "lam", "vth0", "body_k", "subth", "sign", "c_area",
+              "c_ov", "c_j", "gamma_n", "kf", "inv_subth", "lam_sp")
+
+    __slots__ = ("data",) + FIELDS
+
+    def __init__(self, data: np.ndarray):
+        self.data = data
+        (self.beta, self.lam, self.vth0, self.body_k, self.subth, self.sign,
+         self.c_area, self.c_ov, self.c_j, self.gamma_n, self.kf,
+         self.inv_subth, self.lam_sp) = data
 
     @classmethod
     def from_mosfets(cls, mosfets: Sequence["Mosfet"]) -> "DeviceArrays":
-        """Stack the constants of ``mosfets`` (one row per device)."""
+        """Pack the constants of ``mosfets`` (one column per device)."""
         rows = [(m.params.kp * m.w * m.m / m.l,
                  m.params.lambda_l / m.l,
                  m.params.vth0,
@@ -382,27 +401,43 @@ class DeviceArrays:
                  m.params.c_junction * m.w * m.m,
                  m.params.gamma_noise,
                  m.params.kf) for m in mosfets]
-        cols = np.array(rows, dtype=float).reshape(len(rows), 11).T
-        return cls(*cols, 1.0 / cols[4], cols[1] * _CLM_SMOOTH_V)
+        data = np.empty((len(cls.FIELDS), len(rows)))
+        data[:11] = np.array(rows, dtype=float).reshape(len(rows), 11).T
+        np.divide(1.0, data[4], out=data[11])
+        np.multiply(data[1], _CLM_SMOOTH_V, out=data[12])
+        return cls(data)
+
+    @classmethod
+    def empty(cls, n_designs: int, n_devices: int) -> "DeviceArrays":
+        """Uninitialised ``(13, n_designs, n_devices)`` bank (filled one
+        design block at a time, e.g. by ``SystemStack.set_design``)."""
+        return cls(np.empty((len(cls.FIELDS), n_designs, n_devices)))
 
     @classmethod
     def stack(cls, banks: Sequence["DeviceArrays"]) -> "DeviceArrays":
-        """Stack B single-design banks into one ``(B, K)`` bank."""
-        return cls(*(np.stack([getattr(b, f.name) for b in banks])
-                     for f in dataclasses.fields(cls)))
+        """Stack B single-design banks into one ``(13, B, K)`` bank."""
+        return cls(np.stack([b.data for b in banks], axis=1))
 
     def take(self, idx) -> "DeviceArrays":
-        """Row-subset of a stacked ``(B, K)`` bank (fancy indexing)."""
-        return DeviceArrays(*(getattr(self, f.name)[idx]
-                              for f in dataclasses.fields(self)))
+        """Designs ``idx`` of a stacked bank: an int gives a ``(13, K)``
+        view, an index array or bool mask a ``(13, len, K)`` copy."""
+        return DeviceArrays(self.data[:, idx])
 
     def __len__(self) -> int:
-        return self.beta.shape[-1]
+        return self.data.shape[-1]
 
 
 @dataclasses.dataclass(frozen=True)
 class ChannelArrays:
-    """Array counterpart of :class:`ChannelCurrent` (shapes ``(..., K)``)."""
+    """Array counterpart of :class:`ChannelCurrent` (shapes ``(..., K)``).
+
+    ``ids_res`` is the drain current with the channel-length-modulation
+    factor in the association of :func:`channel_ids_batch`,
+    ``1 + (lam * C) * L``, where ``ids`` uses ``1 + lam * (C * L)`` (C the
+    smoothing width, L the softplus of ``vds / C``).  The two differ by
+    rounding only; ``ids_res`` makes a residual taken from a companion
+    evaluation bitwise the one the current-only model gives.
+    """
 
     ids: np.ndarray
     d_vgs: np.ndarray
@@ -411,6 +446,7 @@ class ChannelArrays:
     vov_eff: np.ndarray
     vds_eff: np.ndarray
     saturation: np.ndarray
+    ids_res: np.ndarray
 
 
 def _softplus_arrays(u: np.ndarray, width) -> tuple[np.ndarray, np.ndarray]:
@@ -455,15 +491,19 @@ def channel_current_batch(dev: DeviceArrays, vgs: np.ndarray, vds: np.ndarray,
     q = vov_eff - 0.5 * vds_eff
     i0 = dev.beta * q * vds_eff
 
-    sp, dsp = _softplus_arrays(vds_f / _CLM_SMOOTH_V, _CLM_SMOOTH_V)
-    clm = 1.0 + dev.lam * sp
-    dclm_dvds = dev.lam * dsp
+    # The CLM softplus unscaled, for ids_res (overflow-safe forms as in
+    # _softplus_arrays).
+    u3 = vds_f / _CLM_SMOOTH_V
+    raw = np.logaddexp(0.0, u3)
+    clm = 1.0 + dev.lam * (_CLM_SMOOTH_V * raw)
+    dclm_dvds = dev.lam * np.exp(u3 - raw)
 
     chain = dvdseff_dvdsat * dvdsat_dvov
     di0_dvov = dev.beta * ((1.0 - 0.5 * chain) * vds_eff + q * chain)
     di0_dvds = dev.beta * sech2 * (vov_eff - vds_eff)
 
     ids = i0 * clm
+    ids_res = i0 * (1.0 + dev.lam_sp * raw)
     d_vgs = di0_dvov * sig * clm
     d_vds = di0_dvds * clm + i0 * dclm_dvds
     d_vsb = -d_vgs * dev.body_k
@@ -473,12 +513,13 @@ def channel_current_batch(dev: DeviceArrays, vgs: np.ndarray, vds: np.ndarray,
         flip = np.where(neg, -1.0, 1.0)
         d_vds = np.where(neg, d_vgs + d_vds - d_vsb, d_vds)
         ids = flip * ids
+        ids_res = flip * ids_res
         d_vgs = flip * d_vgs
         d_vsb = flip * d_vsb
         vds_eff = flip * vds_eff
     return ChannelArrays(ids=ids, d_vgs=d_vgs, d_vds=d_vds, d_vsb=d_vsb,
                          vov_eff=vov_eff, vds_eff=vds_eff,
-                         saturation=saturation)
+                         saturation=saturation, ids_res=ids_res)
 
 
 def channel_ids_batch(dev: DeviceArrays, vgs: np.ndarray, vds: np.ndarray,
@@ -487,6 +528,8 @@ def channel_ids_batch(dev: DeviceArrays, vgs: np.ndarray, vds: np.ndarray,
 
     Used by KCL residual checks, which previously evaluated the full
     companion model per device only to discard all four conductances.
+    :attr:`ChannelArrays.ids_res` of :func:`channel_current_batch` is
+    bitwise this value.
     """
     neg = vds < 0.0
     any_neg = bool(neg.any())
@@ -551,11 +594,22 @@ def eval_companion_batch(dev: DeviceArrays, V: np.ndarray
     (v_d, v_g, v_s, v_b)`` — the same quantities the scalar method returns,
     for every device in one call.
     """
+    i_d, g, _ = eval_companion_ids_batch(dev, V)
+    return i_d, g
+
+
+def eval_companion_ids_batch(dev: DeviceArrays, V: np.ndarray
+                             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`eval_companion_batch` plus :func:`eval_ids_batch` in one
+    device pass: returns ``(i_d, g, ids)`` where ``ids`` is bitwise
+    ``eval_ids_batch(dev, V)`` (see :attr:`ChannelArrays.ids_res`), so a
+    Newton driver can test the residual at the iterate it linearises at.
+    """
     vgs, vds, vsb = terminal_voltages_batch(dev, V)
     cc = channel_current_batch(dev, vgs, vds, vsb)
     i_d = dev.sign * cc.ids
     g = np.stack([cc.d_vgs, cc.d_vds, cc.d_vsb], axis=-1) @ _COMPANION_MAP
-    return i_d, g
+    return i_d, g, dev.sign * cc.ids_res
 
 
 def eval_ids_batch(dev: DeviceArrays, V: np.ndarray) -> np.ndarray:

@@ -44,7 +44,7 @@ import numpy as np
 
 from repro.circuits.mosfet import (
     DeviceArrays,
-    eval_companion_batch,
+    eval_companion_ids_batch,
     eval_ids_batch,
 )
 from repro.sim.dc import _POLISH_ITERS, _POLISH_STAG
@@ -73,6 +73,14 @@ class SystemStack:
     an optional sizing ``values`` dict, and the thermal-noise PSD constant
     ``4 k T / R`` of every resistor — everything the batched measurement
     layer needs that is not derivable from the matrices alone.
+
+    The device constants live in one preallocated ``(13, B, K)``
+    :class:`~repro.circuits.mosfet.DeviceArrays` bank, :attr:`dev` (None
+    for circuits without MOSFETs); :meth:`set_design` copies the slice's
+    ``(13, K)`` block into it.  Like ``G``/``C``/``b``, the bank is
+    refilled in place when a stack is snapshotted again (the scalar
+    measurement path keeps one one-slice stack per topology), so its
+    views must not outlive the evaluation that reads them.
     """
 
     def __init__(self, template: MnaSystem, n_designs: int,
@@ -105,9 +113,8 @@ class SystemStack:
         self.b_ac = np.empty((n_designs, n), dtype=complex)
         self.temperatures = np.empty(n_designs)
         self.values: list[dict | None] = [None] * n_designs
-        self._devs: list[DeviceArrays | None] = [None] * n_designs
-        self.dev: DeviceArrays | None = None
-        self._filled = 0
+        K = len(template._terms_pad)
+        self.dev = DeviceArrays.empty(n_designs, K) if K else None
         # Structure-fixed resistor noise topology: (R, 2) node-index pairs
         # (-1 marks ground, as in node_index) plus per-slice PSD constants.
         names = template.resistor_names
@@ -157,18 +164,8 @@ class SystemStack:
                                    for name in self.noise_res_names]
         np.divide(4.0 * BOLTZMANN * system.temperature, self.noise_res_r[i],
                   out=self.noise_res_psd[i])
-        self._devs[i] = system.device_arrays
-        self._filled += 1
-        if self._filled == self.n_designs and self._devs[0] is not None:
-            self.dev = DeviceArrays.stack(self._devs)  # (B, K) fields
-
-    def reuse(self) -> None:
-        """Reset the fill counter so every slice can be re-snapshotted.
-
-        The scalar measurement path keeps one one-slice stack per
-        topology and refills it per sizing; without the reset,
-        :meth:`set_design` would skip re-stacking the device bank."""
-        self._filled = 0
+        if self.dev is not None:
+            self.dev.data[:, i] = system.device_arrays.data
 
     def resistances(self, name: str, rows: np.ndarray) -> np.ndarray:
         """Per-slice resistance of resistor ``name`` for slices ``rows``.
@@ -209,20 +206,32 @@ class BatchDcResult:
     residual_norm: np.ndarray   # (B,) float — final |F| (inf-norm)
 
 
-def _residual_batch(stack: SystemStack, X: np.ndarray, idx: np.ndarray,
-                    source_scale: float, gmin: float) -> np.ndarray:
-    """Stacked KCL residuals of designs ``idx`` at solutions ``X[idx]``."""
-    tpl = stack.template
-    Xa = X[idx]
-    F = (stack.G[idx] @ Xa[..., None])[..., 0] - source_scale * stack.b_dc[idx]
-    if stack.dev is not None:
-        Xp = np.concatenate([Xa, np.zeros((len(idx), 1))], axis=1)
-        V = Xp[:, tpl._terms_pad]
-        ids = eval_ids_batch(stack.dev.take(idx), V)
-        F += ids @ tpl._res_map
+def _kcl_residual(stack: SystemStack, G: np.ndarray, b: np.ndarray,
+                  Xa: np.ndarray, ids: np.ndarray | None,
+                  source_scale: float, gmin: float) -> np.ndarray:
+    """``F = G x - s b + ids @ _res_map (+ gmin x on node rows)`` for
+    stacked rows ``Xa`` with conductances ``G``, excitations ``b`` and
+    signed device currents ``ids`` (None without MOSFETs)."""
+    F = (G @ Xa[..., None])[..., 0] - source_scale * b
+    if ids is not None:
+        F += ids @ stack.template._res_map
     if gmin > 0.0:
         F[:, :stack.n_nodes] += gmin * Xa[:, :stack.n_nodes]
     return F
+
+
+def _residual_batch(stack: SystemStack, X: np.ndarray, idx: np.ndarray,
+                    source_scale: float, gmin: float) -> np.ndarray:
+    """Stacked KCL residuals of designs ``idx`` at solutions ``X[idx]``
+    (a current-only device pass of their own)."""
+    Xa = X[idx]
+    ids = None
+    if stack.dev is not None:
+        Xp = np.concatenate([Xa, np.zeros((len(idx), 1))], axis=1)
+        V = Xp[:, stack.template._terms_pad]
+        ids = eval_ids_batch(stack.dev.take(idx), V)
+    return _kcl_residual(stack, stack.G[idx], stack.b_dc[idx], Xa, ids,
+                         source_scale, gmin)
 
 
 def _solve_active(A: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -256,6 +265,17 @@ def _newton_batch(stack: SystemStack, X: np.ndarray, idx: np.ndarray,
     the batched counterpart of ``repro.sim.dc._newton``, with converged
     designs dropping out of the stacked linear solve.
 
+    A design whose step falls below ``vtol`` owes a residual test at its
+    new iterate.  The test is folded into the next iteration's device
+    pass, which evaluates the companion model at exactly that iterate
+    anyway: :func:`~repro.circuits.mosfet.eval_companion_ids_batch` also
+    returns the current-only ``ids`` (bitwise :func:`eval_ids_batch`), and
+    ``F``'s ``ids @ _res_map`` product runs over exactly the owing rows,
+    so every decision is the one a separate residual pass would make.
+    Converged, stagnant designs then leave before assembly and solve;
+    :func:`_residual_batch` runs only for tests still owed after the last
+    iteration and for the final residual of designs that never converge.
+
     Like the scalar driver, designs that pass the residual gate stay in
     the batch for up to ``_POLISH_ITERS`` extra polish rounds (skipped
     once their step is below ``_POLISH_STAG``), which pins each endpoint
@@ -273,15 +293,19 @@ def _newton_batch(stack: SystemStack, X: np.ndarray, idx: np.ndarray,
     iterations = np.zeros(B, dtype=np.int64)
     fnorm = np.full(B, np.inf)
     polish = np.full(B, -1, dtype=np.int64)  # -1: converging; >=0: rounds left
+    owed = np.zeros(B, dtype=bool)        # residual test due at X[idx]
+    owed_step = np.zeros(B)               # the step that made it due
     active = np.arange(B)                 # positions into idx
     diag = np.arange(stack.n_nodes)
     # Per-round work buffers, sliced to the active count (the active set
-    # only shrinks); the device bank is re-subset only when it changes.
+    # only shrinks); the per-design operands are re-subset only when it
+    # changes.
     A_buf = np.empty((B, n1, n1))
     rhs_buf = np.empty((B, n1))
     Xp_buf = np.zeros((B, n1))
     scatter_buf = np.empty((B, n1 * n1))
-    dev_act = stack.dev.take(idx) if stack.dev is not None else None
+    has_dev = stack.dev is not None
+    dev_act = stack.dev.take(idx) if has_dev else None
     G_act = stack.G[idx]
     b_act = stack.b_dc[idx]
     for it in range(1, max_iter + 1):
@@ -290,6 +314,40 @@ def _newton_batch(stack: SystemStack, X: np.ndarray, idx: np.ndarray,
             break
         rows = idx[active]
         Xa = X[rows]
+        if has_dev:
+            Xp = Xp_buf[:a]
+            Xp[:, :n] = Xa
+            V = Xp[:, tpl._terms_pad]                       # (a, K, 4)
+            i_d, g, ids = eval_companion_ids_batch(dev_act, V)
+        test = owed[active]
+        if test.any():
+            loc = np.nonzero(test)[0]
+            sub = active[loc]
+            F = _kcl_residual(stack, G_act[loc], b_act[loc], Xa[loc],
+                              ids[loc] if has_dev else None,
+                              source_scale, gmin)
+            fn = np.abs(F).max(axis=1)
+            owed[sub] = False
+            fnorm[sub] = fn
+            good = fn < itol
+            if good.any():
+                converged[sub[good]] = True
+                stag = (owed_step[sub[good]] < _POLISH_STAG) \
+                    if _POLISH_ITERS > 0 else np.ones(int(good.sum()), dtype=bool)
+                polish[sub[good][~stag]] = _POLISH_ITERS
+                if stag.any():
+                    # Converged at the floor: leave before assembly.
+                    keep = np.ones(a, dtype=bool)
+                    keep[loc[good][stag]] = False
+                    active = active[keep]
+                    a = len(active)
+                    if a == 0:
+                        break
+                    rows, Xa = idx[active], Xa[keep]
+                    G_act, b_act = G_act[keep], b_act[keep]
+                    if has_dev:
+                        dev_act = dev_act.take(keep)
+                        V, i_d, g = V[keep], i_d[keep], g[keep]
         A = A_buf[:a]
         # The core is overwritten below; only the padding strips (which
         # accumulate ground-terminal scatter adds) need re-zeroing.
@@ -299,11 +357,7 @@ def _newton_batch(stack: SystemStack, X: np.ndarray, idx: np.ndarray,
         rhs = rhs_buf[:a]
         rhs[:, n] = 0.0
         rhs[:, :n] = source_scale * b_act
-        if dev_act is not None:
-            Xp = Xp_buf[:a]
-            Xp[:, :n] = Xa
-            V = Xp[:, tpl._terms_pad]                       # (a, K, 4)
-            i_d, g = eval_companion_batch(dev_act, V)
+        if has_dev:
             prod = np.matmul(g.reshape(a, -1), tpl.newton_g_map,
                              out=scatter_buf[:a])
             flat = A.reshape(a, -1)
@@ -343,18 +397,8 @@ def _newton_batch(stack: SystemStack, X: np.ndarray, idx: np.ndarray,
             drop[np.nonzero(polishing)[0][finished]] = True
         check = (step < vtol) & ~polishing
         if check.any():
-            sub_local = np.nonzero(check)[0]
-            sub = active[sub_local]
-            F = _residual_batch(stack, X, idx[sub], source_scale, gmin)
-            fn = np.abs(F).max(axis=1)
-            good = fn < itol
-            fnorm[sub] = fn
-            if good.any():
-                converged[sub[good]] = True
-                stag = (step[sub_local[good]] < _POLISH_STAG) \
-                    if _POLISH_ITERS > 0 else np.ones(int(good.sum()), dtype=bool)
-                polish[sub[good][~stag]] = _POLISH_ITERS
-                drop[sub_local[good][stag]] = True
+            owed[active[check]] = True
+            owed_step[active[check]] = step[check]
         if drop.any():
             active = active[~drop]
             shrunk = True
@@ -362,8 +406,15 @@ def _newton_batch(stack: SystemStack, X: np.ndarray, idx: np.ndarray,
             # Active set shrank: re-subset the per-round operands.
             G_act = stack.G[idx[active]]
             b_act = stack.b_dc[idx[active]]
-            if stack.dev is not None:
+            if has_dev:
                 dev_act = stack.dev.take(idx[active])
+    # Tests still owed after the last iteration.
+    due = np.nonzero(owed)[0]
+    if len(due):
+        F = _residual_batch(stack, X, idx[due], source_scale, gmin)
+        fn = np.abs(F).max(axis=1)
+        fnorm[due] = fn
+        converged[due[fn < itol]] = True
     # Final residuals for non-converged, non-dead designs.
     left = ~converged & ~dead
     if left.any():

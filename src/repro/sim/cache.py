@@ -33,6 +33,13 @@ def sizing_key(indices) -> tuple[int, ...]:
     return tuple(int(i) for i in np.asarray(indices, dtype=np.int64).ravel())
 
 
+def sizing_keys(indices_2d) -> list[tuple[int, ...]]:
+    """:func:`sizing_key` of every row of a ``(B, P)`` index matrix, from
+    one ``tolist()`` (the batch front-end's per-row key cost)."""
+    return [tuple(row)
+            for row in np.asarray(indices_2d, dtype=np.int64).tolist()]
+
+
 class SimulationCounter:
     """Counts simulator invocations, separating fresh solves from cache hits."""
 

@@ -90,9 +90,11 @@ class OperatingPoint:
 
     def __post_init__(self):
         # The system may be restamped to another sizing later (StampPlan
-        # reuses one MnaSystem), so snapshot its device constants now;
-        # DeviceArrays is replaced — never mutated — on restamp, which
-        # makes the reference a valid lazy-evaluation anchor.
+        # reuses one MnaSystem), so snapshot its device constants now: a
+        # system's packed DeviceArrays bank is replaced — never mutated —
+        # on restamp, which makes the reference a valid lazy-evaluation
+        # anchor.  (A SystemStack's bank is refilled in place, so never
+        # anchor on one of its views.)
         self._dev = self.system.device_arrays
         self._state_arrays: dict[str, np.ndarray] | None = None
         self._mosfet_states: dict[str, MosfetState] | None = None

@@ -258,7 +258,6 @@ class MnaSystem:
         self._rhs_buf = np.empty(n1)
         self._dyn_cols: np.ndarray | None = None
         self._ss_memo: tuple | None = None  # (op, G_ss, C_ss) of last call
-        self._ss_stash: tuple | None = None  # (dev, x) behind _g3/_c4 bufs
         self._g3_buf = np.empty((K, 3))
         self._c4_buf = np.empty((K, 4))
 
@@ -635,13 +634,9 @@ class MnaSystem:
     def residual(self, x: np.ndarray, source_scale: float = 1.0) -> np.ndarray:
         """KCL/KVL residual ``F(x) = G x + i_nl(x) - b`` (amps / volts).
 
-        Convergence checks run this at what usually becomes the final
-        operating point, and the small-signal stamp values are wanted at
-        exactly that point right afterwards — so the forward fast path
-        evaluates the full model once and stashes the ``gm/gds/gmb`` and
-        capacitance stamp values for :meth:`_ss_quantities` (keyed by the
-        solution vector; a cache, not an approximation).  Reverse-biased
-        devices fall back to the current-only evaluation.  Sparse-assembly
+        One current-only device evaluation (the workspace forward core
+        without derivatives; reverse-biased devices fall back to
+        :func:`~repro.circuits.mosfet.channel_ids_batch`).  Sparse-assembly
         systems multiply by the CSC ``G``, never the dense array.
         """
         G = (self.sparse_state.matrix(self._sparse_G_data())
@@ -659,10 +654,9 @@ class MnaSystem:
                               channel_ids_batch(dev, vgs, vds, vsb),
                               out=ws.i_d)
         else:
-            raw, d_vgs, d_vds, d_vsb = _forward_core_ws(
-                dev, vgs, vds, vsb, ws, derivatives=True)
+            raw, _, _, _ = _forward_core_ws(dev, vgs, vds, vsb, ws,
+                                            derivatives=False)
             ids = np.multiply(dev.sign, raw, out=ws.i_d)
-            self._stash_ss(dev, x, d_vgs, d_vds, d_vsb, np.abs(ws.t[5]))
         f += ids @ self._res_map
         return f
 
@@ -680,11 +674,6 @@ class MnaSystem:
         np.add(c4[:, 1], dev.c_ov, out=c4[:, 1])
         c4[:, 2] = dev.c_j
         c4[:, 3] = dev.c_j
-
-    def _stash_ss(self, dev, x, d_vgs, d_vds, d_vsb, sat) -> None:
-        """Cache small-signal stamp values computed at solution ``x``."""
-        self._pack_ss(dev, d_vgs, d_vds, d_vsb, sat)
-        self._ss_stash = (dev, x.copy())
 
     # -- operating-point state ---------------------------------------------------
     def mosfet_state_arrays(self, x: np.ndarray) -> dict[str, np.ndarray]:
@@ -721,18 +710,12 @@ class MnaSystem:
     def _ss_quantities(self, dev: DeviceArrays,
                        x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(g3, c4)`` stacked small-signal stamp values at solution ``x``
-        without materialising the full state-array dict (hot path)."""
-        stash = self._ss_stash
-        if (stash is not None and stash[0] is dev
-                and np.array_equal(stash[1], x)):
-            # Computed by the convergence residual at this exact solution.
-            return self._g3_buf.reshape(-1), self._c4_buf.reshape(-1)
+        without materialising the full state-array dict."""
         ws = self._ws
         V = self._terminal_voltages(x)
         np.multiply(V, dev.sign[:, None], out=ws.Vs)
         np.matmul(ws.Vs, _TERM_MAP, out=ws.V3)
         vgs, vds, vsb = ws.V3[:, 0], ws.V3[:, 1], ws.V3[:, 2]
-        self._ss_stash = None
         if vds.min() < 0.0:
             cc = channel_current_batch(dev, vgs, vds, vsb)
             self._pack_ss(dev, cc.d_vgs, cc.d_vds, cc.d_vsb, cc.saturation)

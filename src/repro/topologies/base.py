@@ -33,7 +33,8 @@ from repro.errors import (ConvergenceError, EvaluationFault,
                           MeasurementError, TopologyError, TrainingError)
 from repro.sim.faults import BatchReport, FaultRecord
 from repro.sim.batch import SystemStack, solve_dc_batch
-from repro.sim.cache import SimulationCache, SimulationCounter, sizing_key
+from repro.sim.cache import (SimulationCache, SimulationCounter, sizing_key,
+                             sizing_keys)
 from repro.sim.dc import OperatingPoint, solve_dc
 from repro.sim.stamp import StampPlan
 from repro.sim.system import MnaSystem
@@ -56,7 +57,9 @@ class Topology(abc.ABC):
         self.parameter_space = self._build_parameter_space()
         self.spec_space = self._build_spec_space()
         self._warm_x: np.ndarray | None = None
-        self._batch_ref_x: np.ndarray | None = None  # batch warm-start seed
+        # Batch warm-start seed: (system size, centre solution or None
+        # when the centre failed to converge), see _batch_warm_start.
+        self._batch_ref: tuple[int, np.ndarray | None] | None = None
         # One structure cache per (topology, corner, temperature): sizings
         # share netlist structure, so the MNA system is built once and
         # restamped per evaluation (see repro.sim.stamp).
@@ -113,13 +116,12 @@ class Topology(abc.ABC):
                 "override measure()")
         # One-slice stack cached per system object: the StampPlan reuses
         # one restamped MnaSystem across the sizing loop, so the scalar
-        # hot path pays the stack's structure scan once, not per call.
+        # hot path pays the stack's structure scan once, not per call;
+        # set_design refills its arrays in place.
         stack = getattr(self, "_scalar_stack", None)
         if stack is None or stack.template is not system:
             stack = SystemStack(system, 1)
             self._scalar_stack = stack
-        else:
-            stack.reuse()
         stack.set_design(0, system)
         ctx = MeasureContext(self, stack, np.zeros(1, dtype=np.intp),
                              op.x[np.newaxis, :])
@@ -266,17 +268,18 @@ class Topology(abc.ABC):
         the *canonical* grid-centre operating point, solved cold once and
         cached — deliberately independent of evaluation history, so
         batch results are reproducible regardless of what was simulated
-        before.  Falls back to cold (None) when the centre itself fails.
+        before.  Falls back to cold (None) when the centre itself fails;
+        that failure is memoised too, so a non-convergent centre is
+        retried only when the system size changes, not on every batch.
         """
-        ref = self._batch_ref_x
-        if ref is None or ref.shape != (stack.size,):
+        if self._batch_ref is None or self._batch_ref[0] != stack.size:
             center = self.parameter_space.values(self.parameter_space.center)
             try:
                 ref = solve_dc(self._plan.restamp(center)).x
             except ConvergenceError:
                 ref = None
-            else:
-                self._batch_ref_x = ref
+            self._batch_ref = (stack.size, ref)
+        ref = self._batch_ref[1]
         return (np.tile(ref, (stack.n_designs, 1))
                 if ref is not None else None)
 
@@ -299,17 +302,19 @@ class Topology(abc.ABC):
         plan = self._measurement_plan()
         if plan is None or type(self).measure is not Topology.measure:
             return None
-        specs = [self.failure_measurement() for _ in range(stack.n_designs)]
+        specs: list[dict[str, float] | None] = [None] * stack.n_designs
         rows = np.nonzero(result.converged)[0]
-        if len(rows) == 0:
-            return specs
-        ctx = MeasureContext(self, stack, rows, result.x[rows])
-        cols, ok = plan.evaluate(ctx)
-        for j, b in enumerate(rows):
-            if ok[j]:
-                specs[b] = {name: float(cols[name][j])
-                            for name in plan.spec_names}
-        return specs
+        if len(rows):
+            ctx = MeasureContext(self, stack, rows, result.x[rows])
+            cols, ok = plan.evaluate(ctx)
+            names = plan.spec_names
+            columns = [cols[name].tolist() for name in names]
+            for b, good, vals in zip(rows.tolist(), ok.tolist(),
+                                     zip(*columns)):
+                if good:
+                    specs[b] = dict(zip(names, vals))
+        return [spec if spec is not None else self.failure_measurement()
+                for spec in specs]
 
     def batch_state_arrays(self, stack: SystemStack, X: np.ndarray,
                            rows: np.ndarray) -> dict[str, np.ndarray]:
@@ -469,23 +474,19 @@ class CircuitSimulator:
         the uncached simulator's historical accounting, under which
         in-batch duplicates really are solved twice.
         """
-        indices_2d = self.parameter_space.clip(
-            self._normalize_batch(indices_2d))
+        space = self.parameter_space
+        indices_2d = space.clip(self._normalize_batch(indices_2d))
         B = len(indices_2d)
         if cache is None:
             self.counter.fresh += B
             return _BatchPlan(
-                results=[None] * B,
-                fresh_values=[self.parameter_space.values(row)
-                              for row in indices_2d],
+                results=[None] * B, fresh_values=space.values(indices_2d),
                 fresh_rows=[[r] for r in range(B)], fresh_keys=[])
         results: list[dict[str, float] | None] = [None] * B
-        fresh_values: list[dict[str, float]] = []
+        fresh: list[int] = []
         fresh_keys: list[tuple[int, ...]] = []
         pending: dict[tuple[int, ...], list[int]] = {}
-        for r in range(B):
-            indices = indices_2d[r]
-            key = sizing_key(indices)
+        for r, key in enumerate(sizing_keys(indices_2d)):
             if key in cache:
                 self.counter.cached += 1
                 results[r] = dict(cache.get_or_compute(
@@ -499,8 +500,9 @@ class CircuitSimulator:
                 self.counter.fresh += 1
                 pending[key] = [r]
                 fresh_keys.append(key)
-                fresh_values.append(self.parameter_space.values(indices))
-        return _BatchPlan(results=results, fresh_values=fresh_values,
+                fresh.append(r)
+        return _BatchPlan(results=results,
+                          fresh_values=space.values(indices_2d[fresh]),
                           fresh_rows=list(pending.values()),
                           fresh_keys=fresh_keys)
 

@@ -127,16 +127,22 @@ class ParameterSpace:
                 and bool(np.all(indices >= 0))
                 and bool(np.all(indices < self.counts)))
 
-    def values(self, indices: np.ndarray) -> dict[str, float]:
-        """Physical values for an index vector."""
+    def values(self, indices: np.ndarray
+               ) -> dict[str, float] | list[dict[str, float]]:
+        """Physical values for an index vector, as a ``name -> value``
+        dict; for a ``(B, P)`` index matrix, one dict per row (one array
+        expression and one range check for the whole batch)."""
         indices = np.asarray(indices, dtype=np.int64)
-        if indices.shape != (len(self),):
+        if indices.shape[-1:] != (len(self),) or indices.ndim > 2:
             raise TopologyError(
-                f"index vector has shape {indices.shape}, expected ({len(self)},)")
+                f"index vector has shape {indices.shape}, expected "
+                f"({len(self)},) or (B, {len(self)})")
         if np.any(indices < 0) or np.any(indices >= self.counts):
             raise TopologyError(f"indices {indices} outside the grid")
-        vals = (self._starts + indices * self._steps) * self._scales
-        return dict(zip(self._names, vals.tolist()))
+        vals = ((self._starts + indices * self._steps) * self._scales).tolist()
+        if indices.ndim == 1:
+            return dict(zip(self._names, vals))
+        return [dict(zip(self._names, row)) for row in vals]
 
     def indices_of(self, values: dict[str, float]) -> np.ndarray:
         """Nearest index vector for a dict of physical values."""

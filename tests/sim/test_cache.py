@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.sim import SimulationCache, SimulationCounter
-from repro.sim.cache import sizing_key
+from repro.sim.cache import sizing_key, sizing_keys
 from repro.topologies import FiveTransistorOta
 
 
@@ -73,3 +73,12 @@ class TestKeyUnification:
         assert space.as_key(idx) == sizing_key(idx)
         assert sizing_key(np.asarray(idx, dtype=np.int32)) == sizing_key(idx)
         assert sizing_key([float(i) for i in idx]) == sizing_key(idx)
+
+    def test_batch_keys_are_the_row_keys(self):
+        space = FiveTransistorOta().parameter_space
+        rows = np.stack([space.center, space.clip(space.center + 1)])
+        keys = sizing_keys(rows)
+        assert keys == [sizing_key(row) for row in rows]
+        assert all(type(i) is int for key in keys for i in key)
+        assert sizing_keys(rows.astype(np.int32)) == keys
+        assert sizing_keys(rows[:0]) == []

@@ -19,9 +19,12 @@ import pkgutil
 import repro
 
 #: Modules under the strict everything-documented rule (the least-obvious
-#: hot modules: process plumbing, the sparse backend, and the measurement
-#: pipeline every topology's specs now flow through).
+#: hot modules: the device model and batched Newton loop with their
+#: bitwise contracts, process plumbing, the sparse backend, and the
+#: measurement pipeline every topology's specs now flow through).
 STRICT_MODULES = (
+    "repro.circuits.mosfet",
+    "repro.sim.batch",
     "repro.sim.condense",
     "repro.sim.faults",
     "repro.sim.krylov",

@@ -98,6 +98,19 @@ class TestParameterSpace:
     def test_values_shape_validation(self):
         with pytest.raises(TopologyError):
             _space().values(np.array([1, 2]))
+        with pytest.raises(TopologyError):
+            _space().values(np.zeros((2, 2), dtype=int))
+        with pytest.raises(TopologyError):
+            _space().values(np.zeros((1, 2, 3), dtype=int))
+
+    def test_values_of_a_matrix_are_the_rows_values(self):
+        space = _space()
+        idx = np.array([[1, 3, 7], [0, 0, 0], [4, 2, 9]])
+        assert space.values(idx) == [space.values(row) for row in idx]
+        assert space.values(idx[:0]) == []
+        idx[2, 1] = space.counts[1]
+        with pytest.raises(TopologyError):
+            space.values(idx)
 
     def test_missing_value_key(self):
         with pytest.raises(TopologyError):

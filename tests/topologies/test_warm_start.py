@@ -122,3 +122,41 @@ class TestWarmStartReset:
         assert pex._warm
         pex.reset_warm_start()
         assert not pex._warm
+
+
+class TestBatchSeedMemo:
+    """The canonical grid-centre batch seed is solved once, failure or not."""
+
+    def test_failed_centre_is_not_resolved_every_batch(self, monkeypatch):
+        from repro.errors import ConvergenceError
+        from repro.topologies import base
+
+        attempts = []
+
+        def sabotaged(system, *args, **kwargs):
+            attempts.append(system.size)
+            raise ConvergenceError("sabotaged centre solve")
+
+        monkeypatch.setattr(base, "solve_dc", sabotaged)
+        topology = FiveTransistorOta()
+        space = topology.parameter_space
+        rng = np.random.default_rng(0)
+        for _ in range(3):
+            values = space.values(np.stack([space.sample(rng)
+                                            for _ in range(4)]))
+            specs = topology.simulate_batch(values)
+            assert len(specs) == 4
+            assert any(s != topology.failure_measurement() for s in specs)
+        assert len(attempts) == 1
+
+    def test_centre_is_resolved_when_the_size_changes(self):
+        topology = FiveTransistorOta()
+        space = topology.parameter_space
+        values = [space.values(space.center)]
+        topology.simulate_batch(values)
+        size, ref = topology._batch_ref
+        assert ref is not None and ref.shape == (size,)
+        topology._batch_ref = (size + 1, None)    # a stale, other-size memo
+        topology.simulate_batch(values)
+        assert topology._batch_ref[0] == size
+        assert np.array_equal(topology._batch_ref[1], ref)
