@@ -16,9 +16,10 @@ through the scenario zoo's structured-file loader
 and zoo declarations share one file dialect and one parse-error surface.
 
 Schedules are polymorphic, so they serialise with a ``"type"`` tag; every
-other node is a plain field dict.  Unknown keys are rejected — a config
-file that silently ignores a typo'd hyperparameter is worse than one that
-errors.
+other node is a plain field dict.  Unknown keys and values of the wrong
+type are rejected, naming the key — a config file that silently ignores
+a typo'd hyperparameter, or hands training the string ``"1e-3"`` (what
+YAML makes of a bare exponent), is worse than one that errors.
 """
 
 from __future__ import annotations
@@ -26,6 +27,9 @@ from __future__ import annotations
 import dataclasses
 import json
 import pathlib
+import re
+import types
+import typing
 from typing import Any
 
 from repro.core.agent import AutoCktConfig
@@ -99,13 +103,53 @@ def _plain_to_dict(obj: Any) -> dict[str, Any]:
     return out
 
 
+def _matches(value: Any, hint: Any) -> bool:
+    """Whether a config value fits a field's type hint (bools are not
+    numbers, ints are floats, a list of ints is a ``tuple[int, ...]``)."""
+    if hint is bool:
+        return isinstance(value, bool)
+    if hint is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    if hint is float:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if hint is type(None):
+        return value is None
+    origin = typing.get_origin(hint)
+    if origin in (typing.Union, types.UnionType):
+        return any(_matches(value, arg) for arg in typing.get_args(hint))
+    if origin is tuple:
+        item = typing.get_args(hint)[0]
+        return (isinstance(value, (list, tuple))
+                and all(_matches(v, item) for v in value))
+    return isinstance(value, hint)
+
+
+def _type_error(cls, key: str, value: Any, hint: Any) -> ConfigError:
+    """The wrong-type error, with the YAML bare-exponent hint when the
+    value is a string like ``"1e-3"``."""
+    expected = hint.__name__ if type(hint) is type else str(hint)
+    message = (f"{cls.__name__}.{key}: expected {expected}, got "
+               f"{type(value).__name__} {value!r}")
+    exponent = isinstance(value, str) and re.fullmatch(
+        r"\s*([+-]?\d+)[eE]([+-]?\d+)\s*", value)
+    if exponent:
+        message += (" (YAML reads a bare exponent as a string: write "
+                    f"{exponent[1]}.0e{exponent[2]})")
+    return ConfigError(message)
+
+
 def _build(cls, data: dict[str, Any], *, tuples: tuple[str, ...] = ()):
-    """Instantiate a flat dataclass from a dict, rejecting unknown keys."""
+    """Instantiate a flat dataclass from a dict, rejecting unknown keys
+    and values that do not fit the field types."""
     known = {f.name for f in dataclasses.fields(cls)}
     unknown = set(data) - known
     if unknown:
         raise ConfigError(
             f"unknown {cls.__name__} fields: {sorted(unknown)}")
+    hints = typing.get_type_hints(cls)
+    for key, value in data.items():
+        if not _matches(value, hints[key]):
+            raise _type_error(cls, key, value, hints[key])
     payload = dict(data)
     for key in tuples:
         if key in payload and isinstance(payload[key], list):

@@ -2,7 +2,8 @@
 
 The paper "consider[s] different PVT variations, taking the worst
 performing metric as the specification".  A :class:`CornerSpec` bundles a
-process corner, a supply-voltage scale and a temperature;
+process corner, a supply-voltage scale and a temperature, and builds any
+topology factory at that corner with the factory's own settings intact;
 :func:`signoff_corners` returns the standard worst-case trio used by the
 PEX flow (typical, slow/hot/low-V, fast/cold/high-V).
 """
@@ -10,9 +11,11 @@ PEX flow (typical, slow/hot/low-V, fast/cold/high-V).
 from __future__ import annotations
 
 import dataclasses
+import inspect
 from typing import Callable
 
 from repro.circuits.technology import Corner
+from repro.errors import TopologyError
 from repro.topologies.base import Topology
 from repro.units import ROOM_TEMPERATURE
 
@@ -26,35 +29,32 @@ class CornerSpec:
     temperature: float
     name: str
 
-    def apply(self, topology_factory: Callable[[], Topology]) -> Topology:
+    def apply(self, topology_factory: Callable[..., Topology]) -> Topology:
         """Instantiate the topology at this corner.
 
-        The topology is built with the corner's process/temperature and its
-        technology's supply voltage scaled by ``vdd_scale``.  When the
-        factory is the :class:`Topology` subclass itself (the common
-        case) — or any factory advertising ``supports_corner_kwargs``,
-        such as a compiled zoo scenario — the corner instance is built
-        directly from the factory's default technology card in one
-        construction, instead of building a throwaway nominal instance
-        first (which, for a zoo scenario, would also strip its
-        declaration overrides in the rebuild).
+        The factory — a :class:`Topology` subclass, a compiled zoo
+        scenario (:class:`~repro.zoo.loader.CompiledScenario`) or any
+        callable taking the ``technology`` / ``corner`` / ``temperature``
+        keywords — is called once with no arguments to read its nominal
+        technology card, then once more with that card's supply scaled by
+        ``vdd_scale`` and this corner's process and temperature.  So the
+        corner instance keeps everything else the factory sets
+        (constructor arguments, attributes, grids).  A factory that
+        cannot take those keywords raises
+        :class:`~repro.errors.TopologyError` before anything is built.
         """
-        if ((isinstance(topology_factory, type)
-             and issubclass(topology_factory, Topology))
-                or getattr(topology_factory, "supports_corner_kwargs",
-                           False)):
-            tech = topology_factory.default_technology()
-            scaled_tech = dataclasses.replace(
-                tech, vdd=tech.vdd * self.vdd_scale)
-            return topology_factory(technology=scaled_tech,
-                                    corner=self.process,
-                                    temperature=self.temperature)
-        topology = topology_factory()
-        scaled_tech = dataclasses.replace(
-            topology.technology, vdd=topology.technology.vdd * self.vdd_scale)
-        rebuilt = type(topology)(technology=scaled_tech, corner=self.process,
-                                 temperature=self.temperature)
-        return rebuilt
+        try:
+            inspect.signature(topology_factory).bind_partial(
+                technology=None, corner=None, temperature=None)
+        except (TypeError, ValueError):
+            raise TopologyError(
+                f"topology factory {topology_factory!r} must accept the "
+                "technology, corner and temperature keywords to be built "
+                "at a PVT corner") from None
+        tech = topology_factory().technology
+        scaled_tech = dataclasses.replace(tech, vdd=tech.vdd * self.vdd_scale)
+        return topology_factory(technology=scaled_tech, corner=self.process,
+                                temperature=self.temperature)
 
 
 def signoff_corners() -> list[CornerSpec]:

@@ -182,8 +182,10 @@ class PexSimulator(CircuitSimulator):
     Parameters
     ----------
     topology_factory:
-        Zero-argument callable building the topology; one instance is
-        created per PVT corner (each carries the corner's device cards).
+        Callable building the topology — a :class:`Topology` subclass, a
+        compiled zoo scenario, or anything taking the ``technology`` /
+        ``corner`` / ``temperature`` keywords; one instance is built per PVT corner (each carries the
+        corner's device cards, see :meth:`CornerSpec.apply`).
     corners:
         PVT corners to sweep; every spec reports its worst-case value
         across them (paper §III-D).

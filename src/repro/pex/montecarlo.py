@@ -25,7 +25,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.analysis.stats import wilson_interval
 from repro.circuits.mosfet import Mosfet
 from repro.circuits.netlist import Netlist
 from repro.core.reward import RewardSpec, compute_reward
@@ -268,6 +267,10 @@ def estimate_yield(result: MonteCarloResult, target: dict[str, float],
     Failed (non-convergent) trials count as fails — silicon that does not
     bias up does not ship.
     """
+    # Imported here: repro.analysis loads scipy.stats, which nothing else
+    # on the simulation and PEX import path needs.
+    from repro.analysis.stats import wilson_interval
+
     reward = reward or RewardSpec()
     names = list(result.specs.keys())
     n_ok = len(result.specs[names[0]])

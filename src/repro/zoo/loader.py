@@ -120,8 +120,8 @@ class CompiledScenario:
     temperature)`` keywords every :class:`~repro.topologies.base.Topology`
     constructor takes) builds a configured topology instance, so a
     scenario drops in anywhere a topology class is accepted: simulator
-    constructors, :meth:`~repro.pex.corners.CornerSpec.apply` (via
-    :attr:`supports_corner_kwargs`), the CLI registry.
+    constructors, :meth:`~repro.pex.corners.CornerSpec.apply`, the CLI
+    registry.
     """
 
     #: Everything the PVT machinery needs to rebuild an equivalent
@@ -141,18 +141,6 @@ class CompiledScenario:
     #: Resolved ``(low, high)`` per overridden spec range.
     specs: tuple[tuple[str, tuple[float, float]], ...] = ()
     pex: PexSettings | None = None
-
-    #: Duck-type marker for :meth:`repro.pex.corners.CornerSpec.apply`:
-    #: this factory accepts the ``(technology, corner, temperature)``
-    #: keywords, so corner instances build in one construction.
-    supports_corner_kwargs = True
-
-    def default_technology(self) -> Technology:
-        """Technology card the scenario nominally runs on (declared card,
-        else the base topology's default)."""
-        if self.technology_key is not None:
-            return TECHNOLOGIES[self.technology_key]()
-        return self.base_cls.default_technology()
 
     def create(self, technology: Technology | None = None,
                corner: Corner | None = None,

@@ -144,3 +144,52 @@ class TestFullConfig:
         path.write_text("[1, 2]")
         with pytest.raises(ConfigError):
             load_config(path)
+
+
+class TestFieldTypes:
+    def test_yaml_bare_exponent_names_key_and_fix(self, tmp_path):
+        # PyYAML reads a bare ``1e-3`` as a string; training would fail
+        # much later inside the optimiser.
+        path = tmp_path / "run.yml"
+        path.write_text("ppo: {lr: 1e-3}\n")
+        with pytest.raises(ConfigError, match=r"PPOConfig\.lr") as err:
+            load_config(path)
+        assert "write 1.0e-3" in str(err.value)
+
+    def test_string_int_rejected(self):
+        with pytest.raises(ConfigError, match="n_train_targets"):
+            autockt_from_dict({"n_train_targets": "50"})
+
+    def test_float_for_int_rejected(self):
+        with pytest.raises(ConfigError, match="n_envs"):
+            autockt_from_dict({"ppo": {"n_envs": 2.5}})
+
+    def test_bool_is_not_a_number(self):
+        with pytest.raises(ConfigError, match="seed"):
+            autockt_from_dict({"seed": True})
+        with pytest.raises(ConfigError, match="gamma"):
+            ppo_from_dict({"gamma": False})
+
+    def test_bool_field_needs_a_bool(self):
+        with pytest.raises(ConfigError, match="parallel_envs"):
+            autockt_from_dict({"parallel_envs": 1})
+
+    def test_int_accepted_for_float(self):
+        assert ppo_from_dict({"lr": 1}).lr == 1
+
+    def test_optional_float_accepts_none(self):
+        assert autockt_from_dict({"stop_reward": None}).stop_reward is None
+        with pytest.raises(ConfigError, match="stop_reward"):
+            autockt_from_dict({"stop_reward": "0"})
+
+    def test_hidden_takes_a_list_of_ints(self):
+        assert ppo_from_dict({"hidden": [8, 8]}).hidden == (8, 8)
+        with pytest.raises(ConfigError, match="hidden"):
+            ppo_from_dict({"hidden": [8.0, 8]})
+        with pytest.raises(ConfigError, match="hidden"):
+            ppo_from_dict({"hidden": 8})
+
+    def test_nested_section_must_be_a_mapping(self):
+        with pytest.raises(ConfigError, match="ppo"):
+            autockt_from_dict({"ppo": 3})
+
