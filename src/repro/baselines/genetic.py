@@ -68,13 +68,6 @@ class GeneticOptimizer:
         self.rng = np.random.default_rng(seed)
 
     # -- fitness ---------------------------------------------------------------
-    def _fitness(self, indices: np.ndarray,
-                 target: dict[str, float]) -> tuple[float, bool, dict[str, float]]:
-        specs = self.simulator.evaluate(indices)
-        breakdown = compute_reward(specs, target, self.simulator.spec_space,
-                                   self.reward)
-        return breakdown.reward, breakdown.goal_reached, specs
-
     def _fitness_many(self, genomes: list[np.ndarray], target: dict[str, float],
                       budget_left: int):
         """Batched fitness of several genomes (one stacked simulation).

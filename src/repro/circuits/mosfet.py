@@ -757,16 +757,3 @@ def eval_companion_ws(dev: DeviceArrays, V: np.ndarray,
     np.multiply(dev.sign, ids, out=ws.i_d)
     np.matmul(ws.D, _COMPANION_MAP, out=ws.g)
     return ws.i_d, ws.g
-
-
-def eval_ids_ws(dev: DeviceArrays, V: np.ndarray,
-                ws: ChannelWorkspace) -> np.ndarray:
-    """Workspace variant of :func:`eval_ids_batch` (current only)."""
-    np.multiply(V, dev.sign[:, None], out=ws.Vs)
-    np.matmul(ws.Vs, _TERMINAL_MAP, out=ws.V3)
-    vgs, vds, vsb = ws.V3[:, 0], ws.V3[:, 1], ws.V3[:, 2]
-    if vds.min() < 0.0:
-        ids = channel_ids_batch(dev, vgs, vds, vsb)
-        return np.multiply(dev.sign, ids, out=ws.i_d)
-    ids, _, _, _ = _forward_core_ws(dev, vgs, vds, vsb, ws, derivatives=False)
-    return np.multiply(dev.sign, ids, out=ws.i_d)

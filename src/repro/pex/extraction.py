@@ -199,19 +199,20 @@ class PexSimulator(CircuitSimulator):
         self.extractor = ParasiticExtractor(rules)
         self._topologies: list[Topology] = [
             corner.apply(topology_factory) for corner in self.corners]
-        # One structure cache per corner: extracted netlists keep their
+        # Each corner topology simulates its extracted netlist through an
+        # extracting plan, so its own simulate (warm start, cold retry)
+        # and centre seed serve the corner.  Extracted netlists keep their
         # structure across sizings (the extractor adds the same parasitic
-        # elements for every sizing of a topology), so each corner's MNA
-        # system is built once and restamped per evaluation — through the
-        # in-place updater fast path (schematic values via the topology's
-        # own update_netlist, parasitic values recomputed directly) when
-        # the topology supports it.  StampPlan falls back to a rebuild if
-        # a sizing ever changes the extracted structure.
-        self._plans: list[StampPlan] = [
-            StampPlan(self._corner_builder(topology),
-                      temperature=topology.temperature,
-                      updater=self._corner_updater(topology))
-            for topology in self._topologies]
+        # elements for every sizing), so each corner's MNA system is built
+        # once and restamped per evaluation, through the in-place updater
+        # (schematic values via update_netlist, parasitics recomputed)
+        # when the topology supports it; StampPlan rebuilds if a sizing
+        # ever changes the extracted structure.
+        for topology in self._topologies:
+            topology._plan = StampPlan(self._corner_builder(topology),
+                                       temperature=topology.temperature,
+                                       updater=self._corner_updater(topology))
+        self._plans: list[StampPlan] = [t._plan for t in self._topologies]
         self._sch_netlist: Netlist | None = None
         self._cnet_cache: dict[tuple, dict[str, tuple[float, float]]] = {}
         reference = self._topologies[0]
@@ -219,8 +220,6 @@ class PexSimulator(CircuitSimulator):
         self.spec_space = reference.spec_space
         self.counter = SimulationCounter()
         self._cache = SimulationCache(50_000) if cache else None
-        self._warm: dict[int, np.ndarray] = {}
-        self._corner_ref: dict[int, np.ndarray | None] = {}
 
     def _krylov_systems(self) -> list:
         """Every corner plan's cached system (iterative solve counters
@@ -229,10 +228,11 @@ class PexSimulator(CircuitSimulator):
                 if plan.system is not None]
 
     def reset_warm_start(self) -> None:
-        """Drop the per-trajectory (per-corner) warm-start state; the
-        canonical corner references survive — they carry no trajectory
-        history."""
-        self._warm.clear()
+        """Drop every corner topology's per-trajectory warm-start state;
+        the canonical corner centre solutions survive — they carry no
+        trajectory history."""
+        for topology in self._topologies:
+            topology.reset_warm_start()
 
     # -- evaluation -----------------------------------------------------------
     def evaluate_batch(self, indices_2d: np.ndarray) -> list[dict[str, float]]:
@@ -276,23 +276,13 @@ class PexSimulator(CircuitSimulator):
         return self._reduce_worst_case(specs, B, K)
 
     def _corner_warm_start(self, stack: SystemStack, B: int) -> np.ndarray:
-        """Stacked Newton seed: each corner's canonical centre operating
-        point (solved cold once, cached), tiled over that corner's block.
-        Falls back to cold zeros for corners whose centre fails."""
+        """Stacked Newton seed: each corner topology's canonical centre
+        solution (:meth:`~repro.topologies.base.Topology.centre_solution`),
+        tiled over that corner's block; cold zeros for corners whose
+        centre fails."""
         seeds = np.zeros((stack.n_designs, stack.size))
-        center = self.parameter_space.values(self.parameter_space.center)
-        for k, plan in enumerate(self._plans):
-            if (k not in self._corner_ref
-                    or (self._corner_ref[k] is not None
-                        and self._corner_ref[k].shape != (stack.size,))):
-                # One cold solve per corner; a failure is memoised too
-                # (None), so a non-convergent centre is not retried on
-                # every batch.
-                try:
-                    self._corner_ref[k] = solve_dc(plan.restamp(center)).x.copy()
-                except ConvergenceError:
-                    self._corner_ref[k] = None
-            ref = self._corner_ref[k]
+        for k, topology in enumerate(self._topologies):
+            ref = topology.centre_solution(stack.size)
             if ref is not None:
                 seeds[k * B:(k + 1) * B] = ref
         return seeds
@@ -344,12 +334,12 @@ class PexSimulator(CircuitSimulator):
         """Historical corner-by-corner loop (no stacking, no cache).
 
         Kept as the equivalence/benchmark baseline for the stacked path:
-        one warm-started scalar solve and one scalar measurement per
-        corner.
+        each corner topology's own ``simulate`` on its extracting plan —
+        one trajectory-warm-started scalar solve (cold retry) and one
+        scalar measurement per corner.
         """
         values = self.parameter_space.values(self.parameter_space.clip(indices))
-        specs = [self._simulate_corner(c, topology, values)
-                 for c, topology in enumerate(self._topologies)]
+        specs = [topology.simulate(values) for topology in self._topologies]
         return self._reduce_worst_case(specs, 1, len(self.corners))[0]
 
     def _corner_builder(self, topology: Topology):
@@ -440,28 +430,6 @@ class PexSimulator(CircuitSimulator):
             self._cnet_cache.clear()
         self._cnet_cache[key] = nets
         return nets
-
-    def _simulate_corner(self, c_idx: int, topology: Topology,
-                         values: dict[str, float]) -> dict[str, float]:
-        system = self._plans[c_idx].restamp(values)
-        op = None
-        warm = self._warm.get(c_idx)
-        if warm is not None and warm.shape == (system.size,):
-            try:
-                op = solve_dc(system, x0=warm)
-            except ConvergenceError:
-                op = None
-        if op is None:
-            try:
-                op = solve_dc(system)
-            except ConvergenceError:
-                self._warm.pop(c_idx, None)
-                return topology.failure_measurement()
-        self._warm[c_idx] = op.x.copy()
-        try:
-            return topology.measure(system, op)
-        except MeasurementError:
-            return topology.failure_measurement()
 
     # -- verification -------------------------------------------------------------
     def lvs_check(self, indices: np.ndarray) -> bool:

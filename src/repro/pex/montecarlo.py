@@ -32,7 +32,6 @@ from repro.errors import ConvergenceError, MeasurementError, TopologyError
 from repro.sim.batch import SystemStack, solve_dc_batch
 from repro.sim.dc import OperatingPoint, solve_dc
 from repro.sim.stamp import StampPlan
-from repro.sim.system import MnaSystem
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.topologies.base import Topology
@@ -134,22 +133,6 @@ class MonteCarloAnalysis:
                  model: MismatchModel | None = None):
         self.topology = topology
         self.model = model or MismatchModel()
-
-    def run_trial(self, values: dict[str, float],
-                  rng: np.random.Generator) -> dict[str, float] | None:
-        """One mismatch draw: build, perturb, solve, measure.
-
-        Returns None when the perturbed circuit fails to converge or
-        measure (counted separately by :meth:`run`).
-        """
-        netlist = self.topology.build(values)
-        apply_mismatch(netlist, self.model, rng)
-        system = MnaSystem(netlist, temperature=self.topology.temperature)
-        try:
-            op = solve_dc(system)
-            return self.topology.measure(system, op)
-        except (ConvergenceError, MeasurementError):
-            return None
 
     #: Mismatch trials solved per stacked batch.
     BATCH_TRIALS = 32

@@ -32,6 +32,7 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
+from scipy.linalg import get_lapack_funcs as _get_lapack
 
 from repro.errors import AnalysisError
 from repro.sim.dc import OperatingPoint
@@ -44,20 +45,15 @@ _MODAL_ENABLED = True
 #: Relative residual above which a modal solution is rejected.
 _MODAL_RTOL = 1e-7
 
-try:  # Low-overhead LAPACK handles for the single-design modal path: the
-    # numpy wrappers cost as much as the 10-20 unknown factorisations.
-    from scipy.linalg import get_lapack_funcs as _get_lapack
-    _DGESV = _get_lapack(("gesv",), (np.empty(1),))[0]
-    _DGEEV = _get_lapack(("geev",), (np.empty(1),))[0]
-    _ZGESV = _get_lapack(("gesv",), (np.empty(1, dtype=complex),))[0]
-except ImportError:  # pragma: no cover - scipy is present in the toolchain
-    _DGESV = _DGEEV = _ZGESV = None
+# Low-overhead LAPACK handles for the single-design modal path: the
+# numpy wrappers cost as much as the 10-20 unknown factorisations.
+_DGESV = _get_lapack(("gesv",), (np.empty(1),))[0]
+_DGEEV = _get_lapack(("geev",), (np.empty(1),))[0]
+_ZGESV = _get_lapack(("gesv",), (np.empty(1, dtype=complex),))[0]
 
 
 def _eig_single(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.linalg.eig`` for one small real matrix, via dgeev when available."""
-    if _DGEEV is None:
-        return np.linalg.eig(M)
+    """``np.linalg.eig`` for one small real matrix, via dgeev."""
     wr, wi, _, vr, info = _DGEEV(M, compute_vl=0, compute_vr=1,
                                  overwrite_a=False)
     if info != 0:
@@ -172,7 +168,7 @@ def _modal_decompose(G: np.ndarray, C: np.ndarray, b: np.ndarray,
     if cols is None:
         # Dynamic columns: fixed by structure, shared across stacked designs.
         cols = np.nonzero(np.abs(C).max(axis=tuple(range(C.ndim - 1))) > 0.0)[0]
-    if G.ndim == 3 and G.shape[0] == 1 and _DGESV is not None:
+    if G.ndim == 3 and G.shape[0] == 1:
         # Batch of one (the scalar measurement path): route through the
         # low-overhead single-design LAPACK handles and re-stack — the
         # numpy wrappers cost as much as the 10-20 unknown factorisations.
@@ -182,7 +178,7 @@ def _modal_decompose(G: np.ndarray, C: np.ndarray, b: np.ndarray,
         y, lam, z, T = dec
         return y[None], lam[None], z[None], T[None]
     r = len(cols)
-    single = G.ndim == 2 and _DGESV is not None
+    single = G.ndim == 2
     try:
         if r == 0:
             sol = np.linalg.solve(G, np.stack([b.real, b.imag], axis=-1))

@@ -8,10 +8,11 @@ one topology at once amortises that overhead — device models evaluate on
 linear solves run as one batched ``numpy.linalg.solve`` over ``(B, n, n)``.
 
 :class:`SystemStack` collects restamped :class:`~repro.sim.system.MnaSystem`
-snapshots; :func:`solve_dc_batch` mirrors :func:`~repro.sim.dc.solve_dc`'s
-strategy — damped Newton, then gmin stepping, then source stepping — with
-per-design convergence masking, so converged designs drop out of the
-batched linear algebra while stragglers keep iterating.
+snapshots; :func:`solve_dc_batch` runs :mod:`repro.sim.dc`'s one
+continuation ladder — damped Newton, then gmin stepping, then source
+stepping — over them, each rung one :func:`_newton_batch` with per-design
+convergence masking, so converged designs drop out of the batched linear
+algebra while stragglers keep iterating.
 
 Stacked-evaluation contract
 ---------------------------
@@ -47,13 +48,10 @@ from repro.circuits.mosfet import (
     eval_companion_ids_batch,
     eval_ids_batch,
 )
-from repro.sim.dc import _POLISH_ITERS, _POLISH_STAG
+from repro.sim import dc
+from repro.sim.sparse import SparseSlice
 from repro.sim.system import MnaSystem, StructureMismatch
 from repro.units import BOLTZMANN
-
-#: gmin-stepping and source-stepping schedules (mirrors repro.sim.dc).
-_GMIN_STEPS = (1e-2, 1e-3, 1e-4, 1e-6, 1e-8, 1e-10, 0.0)
-_SOURCE_STEPS = (0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0)
 
 
 class SystemStack:
@@ -256,16 +254,16 @@ def _solve_active(A: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def _newton_batch(stack: SystemStack, X: np.ndarray, idx: np.ndarray,
-                  gmin: float, source_scale: float, max_iter: int,
-                  vtol: float, itol: float, damping: float
+                  gmin: float, source_scale: float
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Damped Newton on designs ``idx``; updates ``X`` rows in place.
 
     Returns ``(converged, iterations, fnorm)`` aligned with ``idx`` —
-    the batched counterpart of ``repro.sim.dc._newton``, with converged
-    designs dropping out of the stacked linear solve.
+    the batched counterpart of ``repro.sim.dc._newton`` (same settings,
+    read from :mod:`repro.sim.dc` at call time), with converged designs
+    dropping out of the stacked linear solve.
 
-    A design whose step falls below ``vtol`` owes a residual test at its
+    A design whose step falls below ``_VTOL`` owes a residual test at its
     new iterate.  The test is folded into the next iteration's device
     pass, which evaluates the companion model at exactly that iterate
     anyway: :func:`~repro.circuits.mosfet.eval_companion_ids_batch` also
@@ -277,14 +275,16 @@ def _newton_batch(stack: SystemStack, X: np.ndarray, idx: np.ndarray,
     iteration and for the final residual of designs that never converge.
 
     Like the scalar driver, designs that pass the residual gate stay in
-    the batch for up to ``_POLISH_ITERS`` extra polish rounds (skipped
-    once their step is below ``_POLISH_STAG``), which pins each endpoint
+    the batch for up to ``dc._POLISH_ITERS`` extra polish rounds (skipped
+    once their step is below ``dc._POLISH_STAG``), which pins each endpoint
     to the root at machine precision: solves of the same design seeded
     from the sizing trajectory, from the canonical grid-centre operating
     point and from zeros agree to <= 1e-9 in the measured specs.  A
     polish round can only tighten an already-converged design, never
     un-converge it.
     """
+    max_iter, vtol, itol = dc._MAX_ITER, dc._VTOL, dc._ITOL
+    damping = dc._DAMPING
     tpl = stack.template
     n, n1 = stack.size, stack.size + 1
     B = len(idx)
@@ -332,9 +332,10 @@ def _newton_batch(stack: SystemStack, X: np.ndarray, idx: np.ndarray,
             good = fn < itol
             if good.any():
                 converged[sub[good]] = True
-                stag = (owed_step[sub[good]] < _POLISH_STAG) \
-                    if _POLISH_ITERS > 0 else np.ones(int(good.sum()), dtype=bool)
-                polish[sub[good][~stag]] = _POLISH_ITERS
+                stag = ((owed_step[sub[good]] < dc._POLISH_STAG)
+                        if dc._POLISH_ITERS > 0
+                        else np.ones(int(good.sum()), dtype=bool))
+                polish[sub[good][~stag]] = dc._POLISH_ITERS
                 if stag.any():
                     # Converged at the floor: leave before assembly.
                     keep = np.ones(a, dtype=bool)
@@ -393,7 +394,8 @@ def _newton_batch(stack: SystemStack, X: np.ndarray, idx: np.ndarray,
         if polishing.any():
             pol_rows = active[polishing]
             polish[pol_rows] -= 1
-            finished = (polish[pol_rows] < 0) | (step[polishing] < _POLISH_STAG)
+            finished = ((polish[pol_rows] < 0)
+                        | (step[polishing] < dc._POLISH_STAG))
             drop[np.nonzero(polishing)[0][finished]] = True
         check = (step < vtol) & ~polishing
         if check.any():
@@ -423,27 +425,22 @@ def _newton_batch(stack: SystemStack, X: np.ndarray, idx: np.ndarray,
     return converged, iterations, fnorm
 
 
-def solve_dc_batch(stack: SystemStack, x0: np.ndarray | None = None, *,
-                   max_iter: int = 120, vtol: float = 1e-3,
-                   itol: float = 1e-9, damping: float = 0.4) -> BatchDcResult:
+def solve_dc_batch(stack: SystemStack,
+                   x0: np.ndarray | None = None) -> BatchDcResult:
     """Find the DC operating points of every design in ``stack``.
 
-    Mirrors :func:`repro.sim.dc.solve_dc`: plain damped Newton first, then
-    gmin stepping for the failures, then source stepping for whatever is
-    left — each stage running batched with per-design masking.  Designs
-    that fail every strategy are reported with ``converged=False``
-    (callers map them to pessimistic failure measurements, exactly like
-    the scalar path maps :class:`~repro.errors.ConvergenceError`).
-
-    Sparse-engine stacks dispatch to
-    :func:`repro.sim.sparse.solve_dc_batch_sparse` — same strategies,
-    same seeds, same result contract, but each design factorises through
-    SuperLU instead of joining a dense ``(B, n, n)`` LAPACK batch.
+    Runs :func:`repro.sim.dc.solve_dc`'s continuation ladder over all
+    designs at once: plain damped Newton first, then gmin stepping for
+    the failures, then source stepping for whatever is left.  Dense
+    stacks run each rung as one masked :func:`_newton_batch`; sparse
+    stacks run the scalar driver design by design on
+    :class:`~repro.sim.sparse.SparseSlice` views (large systems are
+    device-bound, not dispatch-bound), so each converged row is bitwise
+    the scalar solve of its design.  Designs that fail every strategy
+    are reported with ``converged=False`` (callers map them to
+    pessimistic failure measurements, exactly like the scalar path maps
+    :class:`~repro.errors.ConvergenceError`).
     """
-    if stack.sparse:
-        from repro.sim.sparse import solve_dc_batch_sparse
-        return solve_dc_batch_sparse(stack, x0, max_iter=max_iter, vtol=vtol,
-                                     itol=itol, damping=damping)
     B, n = stack.n_designs, stack.size
     if x0 is None:
         X = np.zeros((B, n))
@@ -451,44 +448,11 @@ def solve_dc_batch(stack: SystemStack, x0: np.ndarray | None = None, *,
         X = np.array(x0, dtype=float)
         if X.shape != (B, n):
             raise ValueError(f"x0 has shape {X.shape}, expected {(B, n)}")
-    x_start = X.copy()
-    total_iters = np.zeros(B, dtype=np.int64)
-    all_idx = np.arange(B)
-
-    converged, iters, fnorm = _newton_batch(
-        stack, X, all_idx, 0.0, 1.0, max_iter, vtol, itol, damping)
-    total_iters += iters
-
-    # gmin stepping for the failures (warm-chained through the schedule;
-    # a design leaves the chain at its first non-converged stage).
-    chain = all_idx[~converged]
-    if len(chain):
-        X[chain] = x_start[chain]
-        survivors = chain
-        for gmin in _GMIN_STEPS:
-            if len(survivors) == 0:
-                break
-            ok, iters, fn = _newton_batch(
-                stack, X, survivors, gmin, 1.0, max_iter, vtol, itol, damping)
-            total_iters[survivors] += iters
-            fnorm[survivors] = fn
-            survivors = survivors[ok]
-        converged[survivors] = True
-
-    # Source stepping from zero for whatever is left.
-    remaining = all_idx[~converged]
-    if len(remaining):
-        X[remaining] = 0.0
-        survivors = remaining
-        for scale in _SOURCE_STEPS:
-            if len(survivors) == 0:
-                break
-            ok, iters, fn = _newton_batch(
-                stack, X, survivors, 0.0, scale, max_iter, vtol, itol, damping)
-            total_iters[survivors] += iters
-            fnorm[survivors] = fn
-            survivors = survivors[ok]
-        converged[survivors] = True
-
-    return BatchDcResult(x=X, converged=converged, iterations=total_iters,
+    if stack.sparse:
+        stage = dc._row_stage([SparseSlice(stack, i) for i in range(B)], X)
+    else:
+        def stage(rows, gmin, source_scale):
+            return _newton_batch(stack, X, rows, gmin, source_scale)
+    converged, iterations, fnorm = dc._ladder(stage, X)
+    return BatchDcResult(x=X, converged=converged, iterations=iterations,
                          residual_norm=fnorm)

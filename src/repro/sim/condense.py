@@ -49,22 +49,18 @@ stay on the full system.
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as _sp
+from scipy.linalg import get_lapack_funcs
+from scipy.sparse.linalg import splu as _splu
 
 from repro.circuits.elements import Capacitor, Resistor
 from repro.sim.engine import SPARSE_AUTO_THRESHOLD
 from repro.sim.krylov import PLATEAU_TOL, REFINE_MAX
-from repro.sim.sparse import HAVE_SCIPY
 
-if HAVE_SCIPY:
-    import scipy.sparse as _sp
-    from scipy.linalg import get_lapack_funcs
-    from scipy.sparse.linalg import splu as _splu
-    # Raw LAPACK: a singular boundary matrix reports ``info > 0`` instead
-    # of the LinAlgWarning of ``scipy.linalg.lu_factor``.
-    _DGETRF, _DGETRS = get_lapack_funcs(
-        ("getrf", "getrs"), (np.empty((1, 1)), np.empty(1)))
-else:  # pragma: no cover - scipy is present in the toolchain
-    _sp = _splu = _DGETRF = _DGETRS = None
+# Raw LAPACK: a singular boundary matrix reports ``info > 0`` instead of
+# the LinAlgWarning of ``scipy.linalg.lu_factor``.
+_DGETRF, _DGETRS = get_lapack_funcs(
+    ("getrf", "getrs"), (np.empty((1, 1)), np.empty(1)))
 
 #: Boundary size from which a system keeps the full path.  The boundary
 #: system is solved dense, which beats the sparse full path only below

@@ -1,11 +1,21 @@
-"""DC operating-point solver.
+"""DC operating-point solver: the one Newton policy of the package.
 
-Newton-Raphson with per-iteration voltage damping, plus the two classic
-SPICE fallbacks when plain Newton diverges:
+Every DC solve — scalar :func:`solve_dc`, dense stacked
+:func:`~repro.sim.batch.solve_dc_batch` and sparse stacks, one
+:class:`~repro.sim.sparse.SparseSlice` per design — runs the same
+continuation ladder (:func:`_ladder`) over a *row-set Newton stage*:
 
-* **gmin stepping** — solve with a large conductance to ground on every
-  node, then relax it geometrically towards zero, warm-starting each stage;
-* **source stepping** — ramp all independent sources from 0 to 100 %.
+1. damped Newton from the seed;
+2. for the rows that fail, **gmin stepping** from the seed — a large
+   conductance to ground on every node, relaxed along
+   :data:`_GMIN_STEPS` with each rung warm-starting the next;
+3. for the rows still failing, **source stepping** from zero — every
+   independent source ramped along :data:`_SOURCE_STEPS`.
+
+The stage is :func:`_newton` row by row (scalar and sparse solves) or
+the stacked :func:`~repro.sim.batch._newton_batch` (dense stacks); both
+read the same Newton settings, the module constants :data:`_MAX_ITER`,
+:data:`_VTOL`, :data:`_ITOL` and :data:`_DAMPING`, at call time.
 
 The result object, :class:`OperatingPoint`, carries node voltages, branch
 currents and the linearised :class:`~repro.circuits.mosfet.MosfetState` of
@@ -17,21 +27,52 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
+from scipy.linalg import get_lapack_funcs
+from scipy.sparse.linalg import splu
 
 from repro.circuits.elements import VoltageSource
 from repro.circuits.mosfet import MosfetState
 from repro.errors import ConvergenceError
 from repro.sim.system import MnaSystem
 
-try:  # Low-overhead LAPACK handles (the Newton step solve is called ~2-4x
-    # per evaluation; numpy's wrapper costs as much as the 15x15
-    # factorisation).  getrf/getrs keep the LU factors around so the next
-    # warm solve can take a chord (stale-Jacobian) first step.
-    from scipy.linalg import get_lapack_funcs
-    _DGETRF, _DGETRS = get_lapack_funcs(
-        ("getrf", "getrs"), (np.empty((1, 1)), np.empty(1)))
-except ImportError:  # pragma: no cover - scipy is present in the toolchain
-    _DGETRF = _DGETRS = None
+# Low-overhead LAPACK handles: the Newton step solve is called ~2-4x per
+# evaluation, and numpy's wrapper costs as much as the 15x15
+# factorisation.
+_DGETRF, _DGETRS = get_lapack_funcs(
+    ("getrf", "getrs"), (np.empty((1, 1)), np.empty(1)))
+
+#: Newton iterations per ladder rung.
+_MAX_ITER = 120
+
+#: Newton-step size [V] below which convergence is *tested*.  The test
+#: itself is the KCL residual bound :data:`_ITOL`; quadratic convergence
+#: means an iterate reached by a millivolt step already has a
+#: sub-microvolt error, so an early test saves one assemble+solve per
+#: warm evaluation (SPICE's vntol plays the same role).
+_VTOL = 1e-3
+
+#: KCL residual bound [A] (1 nA): the physical solution-quality gate.
+_ITOL = 1e-9
+
+#: Maximum per-iteration change of any unknown [V or A].
+_DAMPING = 0.4
+
+#: gmin-stepping schedule [S], from the seed.
+_GMIN_STEPS = (1e-2, 1e-3, 1e-4, 1e-6, 1e-8, 1e-10, 0.0)
+
+#: Source-stepping schedule (fraction of every independent source),
+#: from zero.
+_SOURCE_STEPS = (0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0)
+
+#: Newton-step size [V] below which an iterate counts as *stagnated*:
+#: quadratic convergence puts its error at ~step^2, i.e. the machine
+#: floor, so further polishing cannot move the endpoint.
+_POLISH_STAG = 1e-9
+
+#: Extra full Newton iterations taken after the :data:`_ITOL` residual
+#: gate passes (see :func:`_newton`).  One step from the :data:`_VTOL`
+#: trust region (error <= ~1e-6 V) lands at ~1e-12 V.
+_POLISH_ITERS = 1
 
 
 def _lu_factor(A):
@@ -50,27 +91,19 @@ def _lu_factor(A):
         return ("iterative", factor) if factor is not None else None
     if not isinstance(A, np.ndarray):  # sparse engine: CSC + SuperLU
         try:
-            from scipy.sparse.linalg import splu
             return ("sparse", splu(A))
         except RuntimeError:
             return None
-    if _DGETRF is not None:
-        lu, piv, info = _DGETRF(A, overwrite_a=True)
-        return (lu, piv) if info == 0 else None
-    try:  # numpy fallback: keep the dense inverse as the "factorisation".
-        return (np.linalg.inv(A),)
-    except np.linalg.LinAlgError:
-        return None
+    lu, piv, info = _DGETRF(A, overwrite_a=True)
+    return (lu, piv) if info == 0 else None
 
 
 def _lu_solve(lu, b: np.ndarray) -> np.ndarray:
     """Solve with factors from :func:`_lu_factor`."""
     if isinstance(lu[0], str):     # ("sparse", SuperLU)/("iterative", f)
         return lu[1].solve(b)
-    if len(lu) == 2:
-        x, _ = _DGETRS(lu[0], lu[1], b)
-        return x
-    return lu[0] @ b
+    x, _ = _DGETRS(lu[0], lu[1], b)
+    return x
 
 
 @dataclasses.dataclass
@@ -89,6 +122,7 @@ class OperatingPoint:
     residual_norm: float
 
     def __post_init__(self):
+        """Anchor lazy device-state evaluation on the solved design."""
         # The system may be restamped to another sizing later (StampPlan
         # reuses one MnaSystem), so snapshot its device constants now: a
         # system's packed DeviceArrays bank is replaced — never mutated —
@@ -108,6 +142,7 @@ class OperatingPoint:
         return self._state_arrays
 
     def _states(self) -> dict[str, MosfetState]:
+        """Per-device :class:`MosfetState` objects (materialised once)."""
         if self._mosfet_states is None:
             self._mosfet_states = self.system.states_from_arrays(
                 self.state_arrays)
@@ -115,6 +150,7 @@ class OperatingPoint:
 
     @property
     def temperature(self) -> float:
+        """Simulation temperature [K] of the solved system."""
         return self.system.temperature
 
     def voltage(self, node: str) -> float:
@@ -132,6 +168,7 @@ class OperatingPoint:
 
     @property
     def mosfet_states(self) -> dict[str, MosfetState]:
+        """Name -> :class:`MosfetState` of every MOSFET (a fresh dict)."""
         return dict(self._states())
 
     def supply_current(self, source_name: str | None = None) -> float:
@@ -151,29 +188,17 @@ class OperatingPoint:
                 for name, st in self._states().items()}
 
 
-#: Newton-step size [V] below which an iterate counts as *stagnated*:
-#: quadratic convergence puts its error at ~step^2, i.e. the machine
-#: floor, so further polishing cannot move the endpoint.
-_POLISH_STAG = 1e-9
-
-#: Extra full Newton iterations taken after the ``itol`` residual gate
-#: passes (see :func:`_newton`).  One step from the ``vtol`` trust
-#: region (error <= ~1e-6 V) lands at ~1e-12 V.
-_POLISH_ITERS = 1
-
-
-def _newton(system: MnaSystem, x0: np.ndarray, gmin: float, source_scale: float,
-            max_iter: int, vtol: float, itol: float,
-            damping: float) -> tuple[np.ndarray, int, float, bool]:
+def _newton(system: MnaSystem, x0: np.ndarray, gmin: float,
+            source_scale: float) -> tuple[np.ndarray, int, float, bool]:
     """Damped Newton iteration; returns (x, iterations, |F|, converged).
 
-    Convergence is decided by the KCL residual (``|F| < itol``); ``vtol``
-    is the Newton-step size below which the residual test is worth
-    running.  With quadratic convergence a small step means the iterate is
-    already far more accurate than the step itself, so testing early (at
-    millivolt-scale steps) routinely saves a whole assemble+solve
-    iteration per warm evaluation without weakening the ``itol`` quality
-    gate.
+    Convergence is decided by the KCL residual (``|F| < _ITOL``);
+    :data:`_VTOL` is the Newton-step size below which the residual test
+    is worth running.  With quadratic convergence a small step means the
+    iterate is already far more accurate than the step itself, so testing
+    early (at millivolt-scale steps) routinely saves a whole
+    assemble+solve iteration per warm evaluation without weakening the
+    residual gate.
 
     Converged iterates are *polished* with up to :data:`_POLISH_ITERS`
     extra Newton steps (skipped once the step is below
@@ -183,11 +208,15 @@ def _newton(system: MnaSystem, x0: np.ndarray, gmin: float, source_scale: float,
     the canonical grid-centre operating point and from zeros return the
     same specs to <= 1e-9.  Polish can only tighten an already-converged
     iterate; it never un-converges one.
+
+    ``system`` is an :class:`MnaSystem` or a
+    :class:`~repro.sim.sparse.SparseSlice`, which assembles through its
+    template system's code.
     """
     x = x0.copy()
     polish = -1          # -1: still converging; >= 0: polish steps left
     fnorm = np.inf
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, _MAX_ITER + 1):
         A, rhs = system.newton_matrices(x, gmin=gmin, source_scale=source_scale)
         lu = _lu_factor(A)
         if lu is None:
@@ -197,33 +226,83 @@ def _newton(system: MnaSystem, x0: np.ndarray, gmin: float, source_scale: float,
         x_new = _lu_solve(lu, rhs)
         dx = np.subtract(x_new, x, out=x_new)
         step = np.max(np.abs(dx)) if dx.size else 0.0
-        if step > damping:
-            dx *= damping / step
+        if step > _DAMPING:
+            dx *= _DAMPING / step
         np.add(x, dx, out=x)
         if polish >= 0:
             polish -= 1
             if polish < 0 or step < _POLISH_STAG:
                 return x, iteration, fnorm, True
             continue
-        if step < vtol:
+        if step < _VTOL:
             f = system.residual(x, source_scale=source_scale)
             if gmin > 0.0:
                 f[:system.n_nodes] += gmin * x[:system.n_nodes]
             fnorm = float(np.max(np.abs(f))) if f.size else 0.0
-            if fnorm < itol:
+            if fnorm < _ITOL:
                 if _POLISH_ITERS <= 0 or step < _POLISH_STAG:
                     return x, iteration, fnorm, True
                 polish = _POLISH_ITERS
     if polish >= 0:
-        return x, max_iter, fnorm, True
+        return x, _MAX_ITER, fnorm, True
     f = system.residual(x, source_scale=source_scale)
-    return x, max_iter, float(np.max(np.abs(f))), False
+    return x, _MAX_ITER, float(np.max(np.abs(f))), False
 
 
-def solve_dc(system: MnaSystem, x0: np.ndarray | None = None, *,
-             max_iter: int = 120, vtol: float = 1e-3, itol: float = 1e-9,
-             damping: float = 0.4) -> OperatingPoint:
+def _row_stage(systems, X: np.ndarray):
+    """Row-set Newton stage of :func:`_ladder` that runs :func:`_newton`
+    row by row: row ``r`` of ``X`` is the iterate of ``systems[r]``."""
+    def stage(rows: np.ndarray, gmin: float, source_scale: float):
+        ok = np.zeros(len(rows), dtype=bool)
+        iterations = np.zeros(len(rows), dtype=np.int64)
+        fnorm = np.empty(len(rows))
+        for j, r in enumerate(rows):
+            X[r], iterations[j], fnorm[j], ok[j] = _newton(
+                systems[r], X[r], gmin, source_scale)
+        return ok, iterations, fnorm
+    return stage
+
+
+def _ladder(stage, X: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Run the continuation ladder over every row of ``X`` (in place).
+
+    ``stage(rows, gmin, source_scale)`` runs Newton on rows ``rows`` of
+    ``X`` from their current values, writes the iterates back and returns
+    ``(converged, iterations, |F|)`` aligned with ``rows``.  Every row
+    first gets plain Newton from its seed; the failures restart from
+    their seeds through the :data:`_GMIN_STEPS` chain (a row leaves the
+    chain at its first non-converged rung), and whatever is left restarts
+    from zero through :data:`_SOURCE_STEPS`.  Returns per-row
+    ``(converged, total iterations, final |F|)``.
+    """
+    x_start = X.copy()
+    rows = np.arange(len(X))
+    converged, iterations, fnorm = stage(rows, 0.0, 1.0)
+    if converged.all():
+        return converged, iterations, fnorm
+    for seed, rungs in ((x_start, [(gmin, 1.0) for gmin in _GMIN_STEPS]),
+                        (np.zeros_like(X),
+                         [(0.0, scale) for scale in _SOURCE_STEPS])):
+        survivors = rows[~converged]
+        if not len(survivors):
+            break
+        X[survivors] = seed[survivors]
+        for gmin, source_scale in rungs:
+            if not len(survivors):
+                break
+            ok, iters, fn = stage(survivors, gmin, source_scale)
+            iterations[survivors] += iters
+            fnorm[survivors] = fn
+            survivors = survivors[ok]
+        converged[survivors] = True
+    return converged, iterations, fnorm
+
+
+def solve_dc(system: MnaSystem, x0: np.ndarray | None = None) -> OperatingPoint:
     """Find the DC operating point of ``system``.
+
+    Runs the continuation ladder (see the module docstring) on one row.
 
     Parameters
     ----------
@@ -231,15 +310,6 @@ def solve_dc(system: MnaSystem, x0: np.ndarray | None = None, *,
         Optional initial solution vector (warm start).  Sizing trajectories
         change one grid step at a time, so warm-starting from the previous
         design's operating point typically converges in a few iterations.
-    vtol:
-        Newton step size [V] below which convergence is *tested*; the
-        test itself is the KCL residual bound ``itol`` (1 nA), which is
-        the physical solution-quality criterion.  Quadratic convergence
-        means an iterate reached by a millivolt step already has a
-        sub-microvolt error, so an early test saves one assemble+solve
-        per warm evaluation (SPICE's vntol plays the same role).
-    damping:
-        Maximum per-iteration change of any unknown [V or A].
 
     Raises
     ------
@@ -247,38 +317,15 @@ def solve_dc(system: MnaSystem, x0: np.ndarray | None = None, *,
         If Newton, gmin stepping and source stepping all fail.
     """
     if x0 is None:
-        x0 = np.zeros(system.size)
+        X = np.zeros((1, system.size))
     elif x0.shape != (system.size,):
         raise ValueError(f"x0 has shape {x0.shape}, expected ({system.size},)")
-
-    # Plain (damped) Newton from the provided starting point.
-    x, iters, fnorm, ok = _newton(system, x0, 0.0, 1.0, max_iter, vtol, itol, damping)
-    if ok:
-        return OperatingPoint(system, x, iters, fnorm)
-
-    # gmin stepping.
-    x = x0.copy()
-    total_iters = iters
-    converged_chain = True
-    for gmin in (1e-2, 1e-3, 1e-4, 1e-6, 1e-8, 1e-10, 0.0):
-        x, iters, fnorm, ok = _newton(system, x, gmin, 1.0,
-                                      max_iter, vtol, itol, damping)
-        total_iters += iters
-        if not ok:
-            converged_chain = False
-            break
-    if converged_chain and ok:
-        return OperatingPoint(system, x, total_iters, fnorm)
-
-    # Source stepping.
-    x = np.zeros(system.size)
-    for scale in (0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0):
-        x, iters, fnorm, ok = _newton(system, x, 0.0, scale,
-                                      max_iter, vtol, itol, damping)
-        total_iters += iters
-        if not ok:
-            raise ConvergenceError(
-                f"DC operating point of {system.netlist.title!r} did not "
-                f"converge (source stepping stalled at {scale:.0%}, "
-                f"|F| = {fnorm:.3e})", residual=fnorm)
-    return OperatingPoint(system, x, total_iters, fnorm)
+    else:
+        X = np.array(x0, dtype=float)[None, :]
+    converged, iterations, fnorm = _ladder(_row_stage([system], X), X)
+    if not converged[0]:
+        raise ConvergenceError(
+            f"DC operating point of {system.netlist.title!r} did not "
+            f"converge (Newton, gmin and source stepping all failed, "
+            f"|F| = {fnorm[0]:.3e})", residual=float(fnorm[0]))
+    return OperatingPoint(system, X[0], int(iterations[0]), float(fnorm[0]))

@@ -51,15 +51,11 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
+from scipy.sparse.linalg import (LinearOperator as _LinOp,
+                                 bicgstab as _bicgstab, gmres as _gmres,
+                                 spilu as _spilu, splu as _splu)
 
-from repro.sim.sparse import HAVE_SCIPY, SparseState, SweepFactorization
-
-if HAVE_SCIPY:
-    from scipy.sparse.linalg import (LinearOperator as _LinOp,
-                                     bicgstab as _bicgstab, gmres as _gmres,
-                                     spilu as _spilu, splu as _splu)
-else:  # pragma: no cover - scipy is present in the toolchain
-    _LinOp = _bicgstab = _gmres = _spilu = _splu = None
+from repro.sim.sparse import SparseState, SweepFactorization
 
 #: Residual reduction target of the *initial* Krylov iteration (vs
 #: ``|b|``).  Deliberately tight: the first pass is *warm-started* and

@@ -25,36 +25,27 @@ so no ``(n, n)`` array exists behind the sparse legs:
   an ``O(nnz)`` copy of the frozen base plus the variable elements'
   stamps, and ``O(K)`` scatter-adds of the device quantities through
   precomputed position indices.
-* :class:`SparseSlice` — a lightweight per-design view over a sparse
-  :class:`~repro.sim.batch.SystemStack` slice that duck-types the
-  ``newton_matrices``/``residual`` surface of :class:`MnaSystem`, so the
-  scalar :func:`~repro.sim.dc.solve_dc` (damped Newton + gmin/source
-  stepping) drives batched sparse solves unchanged.
+* :class:`SparseSlice` — the values of one design of a sparse
+  :class:`~repro.sim.batch.SystemStack` (its ``G`` data, ``b_dc``,
+  device bank and Krylov cache) behind the ``newton_matrices``/
+  ``residual`` surface of :class:`MnaSystem`.  It assembles through the
+  stack template's own sparse Newton and residual code, so the scalar
+  Newton driver solves each stacked design exactly as it solves the
+  restamped system of that design.
 * Factorisations are :func:`scipy.sparse.linalg.splu` objects.  An AC
   sweep factors each frequency point once and reuses the factors for
   forward solves *and* the noise adjoint (``A^T y = e`` via
   ``trans="T"``) — the system memoises the factor list per
   (operating point, frequency grid), so a measurement's gain sweep and
   noise referral share one set of LUs.
-
-When scipy is unavailable the dense engine remains fully functional;
-:data:`HAVE_SCIPY` gates the selector (see :mod:`repro.sim.engine`).
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as _sp
+from scipy.sparse.linalg import splu as _splu
 
-try:
-    import scipy.sparse as _sp
-    from scipy.sparse.linalg import splu as _splu
-    HAVE_SCIPY = True
-except ImportError:  # pragma: no cover - scipy is present in the toolchain
-    _sp = None
-    _splu = None
-    HAVE_SCIPY = False
-
-from repro.circuits.mosfet import eval_companion_batch, eval_ids_batch
 from repro.errors import AnalysisError
 
 
@@ -106,10 +97,6 @@ class SparseState:
     """
 
     def __init__(self, system, netlist=None):
-        if not HAVE_SCIPY:
-            raise AnalysisError(
-                "sparse engine requested but scipy is not installed "
-                "(set REPRO_ENGINE=dense)")
         n = system.size
         self.n = n
         self.n_nodes = system.n_nodes
@@ -390,124 +377,47 @@ def stack_sweep_factors(stack, rows: np.ndarray, g3: np.ndarray,
 
 
 class SparseSlice:
-    """Scalar Newton view of one slice of a sparse
-    :class:`~repro.sim.batch.SystemStack`.
+    """Values of one slice of a sparse
+    :class:`~repro.sim.batch.SystemStack`, solved through its template.
 
-    Duck-types the surface :func:`repro.sim.dc.solve_dc` consumes
-    (``size``/``n_nodes``/``netlist``/``temperature``,
-    :meth:`newton_matrices`, :meth:`residual`, ``device_arrays``) so the
-    scalar damped-Newton driver — including its gmin/source-stepping
-    fallbacks — runs each stacked design against sparse factorisations
-    without a dense ``(n, n)`` materialisation.
+    Holds the slice's ``G`` data, ``b_dc``, device bank and (on the
+    iterative leg) its own Krylov cache — each design's Jacobian drifts
+    on its own, while the counters are the template's.  Assembly is the
+    template :class:`~repro.sim.system.MnaSystem`'s own sparse Newton and
+    residual code run on these values, so :func:`repro.sim.dc.solve_dc`
+    (or the ladder behind :func:`~repro.sim.batch.solve_dc_batch`) solves
+    a slice exactly as it solves the restamped system of that design.
     """
 
     def __init__(self, stack, i: int):
         tpl = stack.template
-        self._st = tpl.sparse_state
-        self._tpl = tpl
-        self.size = stack.size
-        self.n_nodes = stack.n_nodes
+        self.template = tpl
+        self.size = tpl.size
+        self.n_nodes = tpl.n_nodes
         self.netlist = tpl.netlist
-        self.node_index = tpl.node_index
-        self.branch_index = tpl.branch_index
-        self.temperature = float(stack.temperatures[i])
+        self.b_dc = stack.b_dc[i]
+        self.device_arrays = (stack.dev.take(i) if stack.dev is not None
+                              else None)
         self._G_data = stack.G_pat[i]
-        self._b_dc = stack.b_dc[i]
-        self._dev = stack.dev.take(i) if stack.dev is not None else None
-        self._G_csc = self._st.matrix(self._G_data)
-        if getattr(tpl, "iterative", False):
-            # Per-slice ILU cache (each design's Jacobian drifts on its
-            # own), counters shared with the template system's stats.
+        if tpl.iterative:
             from repro.sim.krylov import KrylovState
-            self._krylov = KrylovState(self._st, stats=tpl.krylov_state.stats)
+            self.krylov_state = KrylovState(tpl.sparse_state,
+                                            stats=tpl.krylov_state.stats)
         else:
-            self._krylov = None
+            self.krylov_state = None
 
-    @property
-    def device_arrays(self):
-        return self._dev
-
-    def _terminal_voltages(self, x: np.ndarray) -> np.ndarray:
-        """Device terminal voltages at state ``x`` (ground padded as 0)."""
-        xp = np.append(x, 0.0)
-        return xp[self._tpl._terms_pad]
+    def _sparse_G_data(self) -> np.ndarray:
+        """Master-pattern data of this slice's ``G`` (read-only use)."""
+        return self._G_data
 
     def newton_matrices(self, x: np.ndarray, gmin: float = 0.0,
                         source_scale: float = 1.0):
-        """Sparse ``(A, rhs)`` of this slice's companion-model system —
-        the :meth:`MnaSystem.newton_matrices` contract over CSC."""
-        st = self._st
-        rhs = source_scale * self._b_dc
-        if self._dev is not None:
-            V = self._terminal_voltages(x)
-            i_d, g = eval_companion_batch(self._dev, V)
-            data = st.newton_data(self._G_data, g)
-            st.add_rhs_currents(rhs, i_d - (g * V).sum(-1))
-        else:
-            data = self._G_data.copy()
-        if gmin > 0.0:
-            data[st.node_diag_pos] += gmin
-        if self._krylov is not None:
-            # The template's condensed step where it is exact, else Krylov
-            # (see MnaSystem._newton_matrices_sparse).
-            x0 = np.array(x[:self.size], dtype=float)
-            cond = self._tpl.condensation
-            op = None if cond is None else cond.newton_operator(data, x0, gmin)
-            if op is None:
-                op = self._krylov.operator(data, x0=x0, gmin=gmin)
-            return op, rhs
-        return st.matrix(data), rhs
+        """The template's sparse :meth:`MnaSystem.newton_matrices` on this
+        slice's values."""
+        return self.template._newton_matrices_sparse(self, x, gmin,
+                                                     source_scale)
 
     def residual(self, x: np.ndarray, source_scale: float = 1.0) -> np.ndarray:
-        """KCL/KVL residual ``F(x)`` of this slice (convergence gate)."""
-        f = self._G_csc @ x - source_scale * self._b_dc
-        if self._dev is not None:
-            V = self._terminal_voltages(x)
-            f += eval_ids_batch(self._dev, V) @ self._tpl._res_map
-        return f
-
-    def state_arrays_for(self, dev, x: np.ndarray) -> dict[str, np.ndarray]:
-        """Stacked device-state fields at ``x`` (lazy OperatingPoint hook)."""
-        return self._tpl.state_arrays_for(dev, x)
-
-
-def solve_dc_batch_sparse(stack, x0: np.ndarray | None = None, *,
-                          max_iter: int = 120, vtol: float = 1e-3,
-                          itol: float = 1e-9, damping: float = 0.4):
-    """Sparse counterpart of :func:`repro.sim.batch.solve_dc_batch`.
-
-    Large systems are device-bound, not dispatch-bound, so the batch runs
-    as a per-design loop of scalar sparse solves (same Newton algebra,
-    same gmin/source-stepping schedules, same canonical seeds) instead of
-    a stacked ``(B, n, n)`` factorisation.  Results carry the identical
-    :class:`~repro.sim.batch.BatchDcResult` contract.
-    """
-    from repro.errors import ConvergenceError
-    from repro.sim.batch import BatchDcResult
-    from repro.sim.dc import solve_dc
-
-    B, n = stack.n_designs, stack.size
-    X = np.zeros((B, n))
-    converged = np.zeros(B, dtype=bool)
-    iterations = np.zeros(B, dtype=np.int64)
-    fnorm = np.full(B, np.inf)
-    if x0 is not None:
-        x0 = np.asarray(x0, dtype=float)
-        if x0.shape != (B, n):
-            raise ValueError(f"x0 has shape {x0.shape}, expected {(B, n)}")
-    for i in range(B):
-        view = SparseSlice(stack, i)
-        try:
-            op = solve_dc(view, x0=None if x0 is None else x0[i].copy(),
-                          max_iter=max_iter, vtol=vtol, itol=itol,
-                          damping=damping)
-        except ConvergenceError as err:
-            r = getattr(err, "residual", None)
-            fnorm[i] = float(r) if r is not None else np.inf
-            continue
-        X[i] = op.x
-        converged[i] = True
-        iterations[i] = op.iterations
-        fnorm[i] = op.residual_norm
-    return BatchDcResult(x=X, converged=converged, iterations=iterations,
-                         residual_norm=fnorm)
+        """The template's :meth:`MnaSystem.residual` on this slice's
+        values."""
+        return self.template._residual(self, x, source_scale)

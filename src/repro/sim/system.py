@@ -72,7 +72,6 @@ from repro.circuits.mosfet import (
     eval_companion_batch,
     eval_companion_ws,
     eval_ids_batch,
-    eval_ids_ws,
     state_arrays_batch,
     terminal_voltages_batch,
 )
@@ -203,8 +202,6 @@ class MnaSystem:
 
         #: Resolved engine leg: "dense", "sparse" or "iterative".
         self.engine = resolve_engine(self.size, engine)
-        if not sparse_engine.HAVE_SCIPY:
-            self.engine = "dense"
         #: True when assembly routes through the CSC master pattern
         #: (both the sparse-direct and iterative legs).
         self.sparse = self.engine != "dense"
@@ -561,7 +558,7 @@ class MnaSystem:
         every form transparently.
         """
         if self.sparse:
-            return self._newton_matrices_sparse(x, gmin, source_scale)
+            return self._newton_matrices_sparse(self, x, gmin, source_scale)
         size = self.size
         A = self._A_pad
         A.fill(0.0)
@@ -587,25 +584,31 @@ class MnaSystem:
             A[self._diag, self._diag] += gmin
         return A[:size, :size].copy(), rhs[:size].copy()
 
-    def _newton_matrices_sparse(self, x: np.ndarray, gmin: float,
+    def _newton_matrices_sparse(self, values, x: np.ndarray, gmin: float,
                                 source_scale: float):
         """Sparse :meth:`newton_matrices`: one master-pattern ``.data``
         assembly (an O(nnz) copy of the stamped ``G`` data + O(K) device
         scatter-adds) instead of a dense ``(n+1)^2`` fill and scatter
-        matmul."""
+        matmul.
+
+        ``values`` supplies the ``G`` data, ``b_dc``, device bank and
+        Krylov cache: this system, or a
+        :class:`~repro.sim.sparse.SparseSlice` of a stack built on it.
+        """
         st = self.sparse_state
-        rhs = source_scale * self.b_dc
-        if self._dev is not None:
+        rhs = source_scale * values.b_dc
+        dev = values.device_arrays
+        if dev is not None:
             ws = self._ws
             V = self._terminal_voltages(x)
-            i_d, g = eval_companion_ws(self._dev, V, ws)
-            data = st.newton_data(self._sparse_G_data(), g)
+            i_d, g = eval_companion_ws(dev, V, ws)
+            data = st.newton_data(values._sparse_G_data(), g)
             np.multiply(g, V, out=ws.gV)
             np.sum(ws.gV, axis=1, out=ws.i_eq)
             np.subtract(i_d, ws.i_eq, out=ws.i_eq)
             st.add_rhs_currents(rhs, ws.i_eq)
         else:
-            data = self._sparse_G_data().copy()
+            data = values._sparse_G_data().copy()
         if gmin > 0.0:
             data[st.node_diag_pos] += gmin
         if self.iterative:
@@ -617,7 +620,7 @@ class MnaSystem:
             cond = self.condensation
             op = None if cond is None else cond.newton_operator(data, x0, gmin)
             if op is None:
-                op = self.krylov_state.operator(data, x0=x0, gmin=gmin)
+                op = values.krylov_state.operator(data, x0=x0, gmin=gmin)
             return op, rhs
         return st.matrix(data), rhs
 
@@ -639,10 +642,16 @@ class MnaSystem:
         :func:`~repro.circuits.mosfet.channel_ids_batch`).  Sparse-assembly
         systems multiply by the CSC ``G``, never the dense array.
         """
-        G = (self.sparse_state.matrix(self._sparse_G_data())
+        return self._residual(self, x, source_scale)
+
+    def _residual(self, values, x: np.ndarray,
+                  source_scale: float) -> np.ndarray:
+        """:meth:`residual` on the values of ``values`` (this system, or a
+        :class:`~repro.sim.sparse.SparseSlice` of a stack built on it)."""
+        G = (self.sparse_state.matrix(values._sparse_G_data())
              if self.sparse else self._G)
-        f = G @ x - source_scale * self.b_dc
-        dev, ws = self._dev, self._ws
+        f = G @ x - source_scale * values.b_dc
+        dev, ws = values.device_arrays, self._ws
         if dev is None:
             return f
         V = self._terminal_voltages(x)

@@ -537,18 +537,6 @@ def _solve_static_batch(stack: SystemStack, b: np.ndarray, X: np.ndarray,
     return ok
 
 
-def _nonlinear_current(system: MnaSystem, x: np.ndarray) -> np.ndarray:
-    """Backward-compatible alias of :meth:`MnaSystem.nonlinear_current`."""
-    return system.nonlinear_current(x)
-
-
-def _nonlinear_current_and_jacobian(system: MnaSystem,
-                                    x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Backward-compatible alias of
-    :meth:`MnaSystem.nonlinear_current_and_jacobian`."""
-    return system.nonlinear_current_and_jacobian(x)
-
-
 def _solve_static(system: MnaSystem, b: np.ndarray, x0: np.ndarray,
                   max_iter: int, vtol: float) -> np.ndarray:
     """Newton solve of G x + i_nl(x) = b from a warm start."""

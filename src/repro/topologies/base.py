@@ -57,8 +57,8 @@ class Topology(abc.ABC):
         self.parameter_space = self._build_parameter_space()
         self.spec_space = self._build_spec_space()
         self._warm_x: np.ndarray | None = None
-        # Batch warm-start seed: (system size, centre solution or None
-        # when the centre failed to converge), see _batch_warm_start.
+        # Grid-centre seed: (system size, centre solution or None when
+        # the centre failed to converge), see centre_solution.
         self._batch_ref: tuple[int, np.ndarray | None] | None = None
         # One structure cache per (topology, corner, temperature): sizings
         # share netlist structure, so the MNA system is built once and
@@ -268,20 +268,28 @@ class Topology(abc.ABC):
         the *canonical* grid-centre operating point, solved cold once and
         cached — deliberately independent of evaluation history, so
         batch results are reproducible regardless of what was simulated
-        before.  Falls back to cold (None) when the centre itself fails;
-        that failure is memoised too, so a non-convergent centre is
-        retried only when the system size changes, not on every batch.
+        before.  Falls back to cold (None) when the centre itself fails
+        (see :meth:`centre_solution`).
         """
-        if self._batch_ref is None or self._batch_ref[0] != stack.size:
+        ref = self.centre_solution(stack.size)
+        return (np.tile(ref, (stack.n_designs, 1))
+                if ref is not None else None)
+
+    def centre_solution(self, size: int) -> np.ndarray | None:
+        """Cold DC solution of the grid-centre sizing (None when it fails).
+
+        Solved once through the topology's plan and memoised together
+        with its failure; a new solve happens only when the system
+        ``size`` changes.
+        """
+        if self._batch_ref is None or self._batch_ref[0] != size:
             center = self.parameter_space.values(self.parameter_space.center)
             try:
                 ref = solve_dc(self._plan.restamp(center)).x
             except ConvergenceError:
                 ref = None
-            self._batch_ref = (stack.size, ref)
-        ref = self._batch_ref[1]
-        return (np.tile(ref, (stack.n_designs, 1))
-                if ref is not None else None)
+            self._batch_ref = (size, ref)
+        return self._batch_ref[1]
 
     def measure_batch(self, stack: SystemStack, result) -> (
             list[dict[str, float]] | None):

@@ -1,14 +1,23 @@
 """Batched DC solves: stacked Newton must agree with the scalar solver."""
 
+import functools
+
 import numpy as np
 import pytest
 
 from repro.circuits import Netlist, Resistor, VoltageSource
-from repro.sim import MnaSystem, StampPlan
+from repro.sim import MnaSystem, StampPlan, dc
 from repro.sim.batch import BatchDcResult, SystemStack, solve_dc_batch
 from repro.sim.dc import solve_dc
 from repro.sim.system import StructureMismatch
-from repro.topologies import FiveTransistorOta, TwoStageOpAmp
+from repro.topologies import (
+    FiveTransistorOta,
+    FoldedCascodeOta,
+    NegGmOta,
+    OtaChain,
+    TransimpedanceAmplifier,
+    TwoStageOpAmp,
+)
 
 
 def _make_stack(topo, designs):
@@ -107,6 +116,46 @@ class TestFailureFallback:
         assert specs[1] == failure
         for i in (0, 2, 3):
             assert specs[i] != failure
+
+
+class TestSparseRowsAreScalarSolves:
+    """A sparse stack solves each design through the scalar driver on
+    its template's own assembly, so every converged row is bitwise the
+    scalar solve of the restamped design, also when the continuation
+    ladder runs (``_MAX_ITER`` at 4 sends every design that needs more
+    Newton iterations down it)."""
+
+    @pytest.mark.parametrize("max_iter", [120, 4])
+    @pytest.mark.parametrize("topology_cls", [
+        TwoStageOpAmp, NegGmOta, FiveTransistorOta, TransimpedanceAmplifier,
+        FoldedCascodeOta, functools.partial(OtaChain, n_stages=2, segments=4),
+    ], ids=["opamp", "ngm", "ota5", "tia", "folded", "ota_chain"])
+    def test_converged_rows_equal_solve_dc(self, topology_cls, max_iter,
+                                           monkeypatch):
+        topo = topology_cls()
+        plan = StampPlan(topo.build, temperature=topo.temperature,
+                         updater=topo.update_netlist, engine="sparse")
+        space = topo.parameter_space
+        rng = np.random.default_rng(13)
+        designs = space.values(np.stack([space.sample(rng)
+                                         for _ in range(5)]))
+        stack = plan.stack(designs)
+        assert stack.sparse
+        centre = solve_dc(plan.restamp(space.values(space.center))).x
+        monkeypatch.setattr(dc, "_MAX_ITER", max_iter)
+        compared = 0
+        for x0 in (None, np.tile(centre, (len(designs), 1))):
+            result = solve_dc_batch(stack, x0=x0)
+            if max_iter == 4:
+                assert result.iterations.max() > 4   # the ladder ran
+            for i in np.nonzero(result.converged)[0]:
+                op = solve_dc(plan.restamp(designs[i]),
+                              x0=None if x0 is None else x0[i])
+                assert np.array_equal(result.x[i], op.x)
+                assert result.iterations[i] == op.iterations
+                assert result.residual_norm[i] == op.residual_norm
+                compared += 1
+        assert compared > 0
 
 
 def _drifting_ladder(values):

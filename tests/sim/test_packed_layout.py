@@ -25,6 +25,7 @@ from repro.circuits.mosfet import (
 from repro.circuits.technology import finfet16, ptm45
 from repro.pex import PexSimulator
 from repro.sim import batch as batch_mod
+from repro.sim import dc
 from repro.sim.batch import _solve_active, solve_dc_batch
 from repro.sim.dc import _POLISH_ITERS, _POLISH_STAG
 from repro.topologies import (
@@ -99,10 +100,11 @@ def reference_residual_batch(stack, X, idx, source_scale, gmin):
     return F
 
 
-def reference_newton_batch(stack, X, idx, gmin, source_scale, max_iter,
-                           vtol, itol, damping):
+def reference_newton_batch(stack, X, idx, gmin, source_scale):
     """The two-pass loop: a separate current-only residual pass at every
-    convergence test."""
+    convergence test (Newton settings read from ``repro.sim.dc``)."""
+    max_iter, vtol, itol = dc._MAX_ITER, dc._VTOL, dc._ITOL
+    damping = dc._DAMPING
     tpl = stack.template
     n, n1 = stack.size, stack.size + 1
     B = len(idx)
@@ -228,12 +230,14 @@ def random_values(topology, n, seed):
     return space.values(np.stack([space.sample(rng) for _ in range(n)]))
 
 
-def solve_both(monkeypatch, stack, x0, **kwargs):
-    """``solve_dc_batch`` with the folded loop, then with the reference."""
-    new = solve_dc_batch(stack, x0=x0, **kwargs)
+def solve_both(monkeypatch, stack, x0, max_iter=dc._MAX_ITER):
+    """``solve_dc_batch`` with the folded loop, then with the reference,
+    both at ``max_iter`` Newton iterations per rung."""
     with monkeypatch.context() as m:
+        m.setattr(dc, "_MAX_ITER", max_iter)
+        new = solve_dc_batch(stack, x0=x0)
         m.setattr(batch_mod, "_newton_batch", reference_newton_batch)
-        ref = solve_dc_batch(stack, x0=x0, **kwargs)
+        ref = solve_dc_batch(stack, x0=x0)
     return new, ref
 
 

@@ -19,13 +19,15 @@ import pkgutil
 import repro
 
 #: Modules under the strict everything-documented rule (the least-obvious
-#: hot modules: the device model and batched Newton loop with their
-#: bitwise contracts, process plumbing, the sparse backend, and the
-#: measurement pipeline every topology's specs now flow through).
+#: hot modules: the device model, the DC continuation ladder and the
+#: batched Newton loop with their bitwise contracts, process plumbing,
+#: the sparse backend, and the measurement pipeline every topology's
+#: specs now flow through).
 STRICT_MODULES = (
     "repro.circuits.mosfet",
     "repro.sim.batch",
     "repro.sim.condense",
+    "repro.sim.dc",
     "repro.sim.faults",
     "repro.sim.krylov",
     "repro.sim.parallel",

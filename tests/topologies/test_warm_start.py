@@ -119,9 +119,9 @@ class TestWarmStartReset:
     def test_pex_reset_clears_per_corner_warm(self):
         pex = PexSimulator(FiveTransistorOta, cache=False)
         pex.evaluate_percorner(pex.parameter_space.center)
-        assert pex._warm
+        assert all(t._warm_x is not None for t in pex._topologies)
         pex.reset_warm_start()
-        assert not pex._warm
+        assert all(t._warm_x is None for t in pex._topologies)
 
 
 class TestBatchSeedMemo:
