@@ -1,9 +1,10 @@
 """One-design benchmark smoke: a fast CI-grade sanity pass.
 
 Times one schematic evaluation and a one-design PEX full-corner sweep
-(stacked vs per-corner loop) and records the numbers in
-``benchmarks/results/BENCH_simulator.json`` — enough signal to catch a
-perf regression of 10x without paying for the full benchmark suite.
+(stacked vs per-corner loop) and prints the two timings — enough signal
+to catch a perf regression of 10x without paying for the full benchmark
+suite.  It writes no file: the tracked
+``benchmarks/results/BENCH_simulator.json`` stays as committed.
 
 Run as ``python benchmarks/smoke.py`` (paths are set up below).
 """
@@ -19,7 +20,6 @@ sys.path[:0] = [str(pathlib.Path(__file__).resolve().parent.parent / "src"),
 def main() -> int:
     import numpy as np
 
-    from benchmarks._harness import publish_json
     from benchmarks.bench_simulator_speed import corner_stack_speed
     from repro.topologies import SchematicSimulator, TwoStageOpAmp
 
@@ -32,10 +32,6 @@ def main() -> int:
     assert np.isfinite(list(specs.values())).all()
 
     corner = corner_stack_speed(n_designs=1, repeats=2)
-    publish_json("smoke", {
-        "single_eval_ms": single_ms,
-        "corner_sweep_1design": corner,
-    })
     print(f"single schematic eval: {single_ms:.2f} ms")
     print(f"1-design corner sweep: stacked {corner['stacked_ms']:.2f} ms, "
           f"loop {corner['percorner_loop_ms']:.2f} ms")

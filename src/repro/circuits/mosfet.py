@@ -347,6 +347,16 @@ class Mosfet(Element):
 # Vectorised (array) evaluation
 # ---------------------------------------------------------------------------
 
+def _sized_fields(kp, lambda_l, cox, c_overlap, c_junction, w, l, m):
+    """The size-dependent bank fields ``(beta, lam, c_area, c_ov, c_j)``
+    of a device card and sizing: floats for one device
+    (:meth:`DeviceArrays.from_mosfets`), arrays for many designs at once
+    (:meth:`DeviceArrays.fill_sized`).  Written once so both evaluate
+    the same operations in the same order."""
+    return (kp * w * m / l, lambda_l / l, cox * w * l * m,
+            c_overlap * w * m, c_junction * w * m)
+
+
 class DeviceArrays:
     """Per-device constants of K MOSFETs, packed into one array.
 
@@ -372,7 +382,8 @@ class DeviceArrays:
 
     A bank an :class:`~repro.sim.system.MnaSystem` owns is replaced, never
     mutated, on restamp; a :class:`~repro.sim.batch.SystemStack` refills
-    its own bank in place slice by slice.
+    its own bank in place, slice by slice or all at once
+    (:meth:`fill_sized`).
     """
 
     #: Row names of :attr:`data`, in order.
@@ -390,22 +401,54 @@ class DeviceArrays:
     @classmethod
     def from_mosfets(cls, mosfets: Sequence["Mosfet"]) -> "DeviceArrays":
         """Pack the constants of ``mosfets`` (one column per device)."""
-        rows = [(m.params.kp * m.w * m.m / m.l,
-                 m.params.lambda_l / m.l,
-                 m.params.vth0,
-                 m.params.body_k,
-                 m.params.subthreshold_v,
-                 m._sign,
-                 m.params.cox * m.w * m.l * m.m,
-                 m.params.c_overlap * m.w * m.m,
-                 m.params.c_junction * m.w * m.m,
-                 m.params.gamma_noise,
-                 m.params.kf) for m in mosfets]
+        rows = []
+        for m in mosfets:
+            p = m.params
+            beta, lam, c_area, c_ov, c_j = _sized_fields(
+                p.kp, p.lambda_l, p.cox, p.c_overlap, p.c_junction,
+                m.w, m.l, m.m)
+            rows.append((beta, lam, p.vth0, p.body_k, p.subthreshold_v,
+                         m._sign, c_area, c_ov, c_j, p.gamma_noise, p.kf))
         data = np.empty((len(cls.FIELDS), len(rows)))
         data[:11] = np.array(rows, dtype=float).reshape(len(rows), 11).T
         np.divide(1.0, data[4], out=data[11])
         np.multiply(data[1], _CLM_SMOOTH_V, out=data[12])
         return cls(data)
+
+    @staticmethod
+    def cards(mosfets: Sequence["Mosfet"]) -> np.ndarray:
+        """``(13, K)`` card rows of ``mosfets`` in bank layout, the
+        ``cards`` argument of :meth:`fill_sized`: the size-free rows
+        (``vth0``, ``body_k``, ``subth``, ``sign``, ``gamma_n``, ``kf``,
+        ``inv_subth``) as a bank holds them, and in the size-dependent
+        rows the card value :func:`_sized_fields` scales (``kp``,
+        ``lambda_l``, ``cox``, ``c_overlap``, ``c_junction``; ``lam_sp``
+        is left 0)."""
+        cards = np.zeros((len(DeviceArrays.FIELDS), len(mosfets)))
+        cards[:11] = np.array(
+            [(m.params.kp, m.params.lambda_l, m.params.vth0,
+              m.params.body_k, m.params.subthreshold_v, m._sign,
+              m.params.cox, m.params.c_overlap, m.params.c_junction,
+              m.params.gamma_noise, m.params.kf) for m in mosfets],
+            dtype=float).reshape(len(mosfets), 11).T
+        np.divide(1.0, cards[4], out=cards[11])
+        return cards
+
+    def fill_sized(self, cards: np.ndarray, w: np.ndarray, l: np.ndarray,
+                   m: np.ndarray) -> None:
+        """Fill this ``(13, B, K)`` bank from :meth:`cards` and the
+        devices' ``(B, K)`` width, length and multiplier matrices.
+
+        The size-dependent rows come from the same
+        :func:`_sized_fields` arithmetic as :meth:`from_mosfets`', on
+        whole matrices, so block ``b`` is bitwise the bank
+        ``from_mosfets`` packs for the devices sized as row ``b``.
+        """
+        data = self.data
+        data[...] = cards[:, None]                # the size-free rows
+        (data[0], data[1], data[6], data[7], data[8]) = _sized_fields(
+            cards[0], cards[1], cards[6], cards[7], cards[8], w, l, m)
+        np.multiply(self.lam, _CLM_SMOOTH_V, out=self.lam_sp)
 
     @classmethod
     def empty(cls, n_designs: int, n_devices: int) -> "DeviceArrays":

@@ -191,15 +191,16 @@ def crossing_frequency_batch(freqs: np.ndarray, mag: np.ndarray,
     level = np.asarray(level, dtype=float)
     below = mag < (level[:, None] if level.ndim else level)
     crosses = below.any(axis=1)
-    i = below.argmax(axis=1)                     # first below index (or 0)
-    i = np.clip(i, 1, mag.shape[1] - 1)
-    m0 = np.take_along_axis(mag, (i - 1)[:, None], axis=1)[:, 0]
-    m1 = np.take_along_axis(mag, i[:, None], axis=1)[:, 0]
-    f0, f1 = freqs[i - 1], freqs[i]
+    rows = np.arange(len(mag))
+    # First below index (argmax gives 0 when none), kept inside [1, F-1].
+    i = np.minimum(np.maximum(below.argmax(axis=1), 1), mag.shape[1] - 1)
+    m0, m1 = mag[rows, i - 1], mag[rows, i]
+    logf = np.log10(freqs)
+    lf0, f1 = logf[i - 1], freqs[i]
     degenerate = (m0 <= 0.0) | (m1 <= 0.0) | (m0 == m1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         t = (np.log10(m0) - np.log10(level)) / (np.log10(m0) - np.log10(m1))
-        interp = 10.0 ** (np.log10(f0) + t * (np.log10(f1) - np.log10(f0)))
+        interp = 10.0 ** (lf0 + t * (logf[i] - lf0))
     out = np.where(degenerate, f1, interp)
     out = np.where(crosses, out, freqs[-1])
     return np.where(mag[:, 0] < level, fallback, out)
@@ -232,12 +233,12 @@ def phase_margin_batch(freqs: np.ndarray, H: np.ndarray,
     phase = np.degrees(ph)
     logf = np.log10(freqs)
     target = np.log10(np.maximum(ugbw, freqs[0]))
-    j = np.clip(np.searchsorted(logf, target, side="right"), 1,
-                len(logf) - 1)
-    p0 = np.take_along_axis(phase, (j - 1)[:, None], axis=1)[:, 0]
-    p1 = np.take_along_axis(phase, j[:, None], axis=1)[:, 0]
+    j = np.minimum(np.maximum(np.searchsorted(logf, target, side="right"), 1),
+                   len(logf) - 1)
+    rows = np.arange(len(phase))
+    p0, p1 = phase[rows, j - 1], phase[rows, j]
     t = (target - logf[j - 1]) / (logf[j] - logf[j - 1])
-    t = np.clip(t, 0.0, 1.0)
+    t = np.minimum(np.maximum(t, 0.0), 1.0)
     pm = 180.0 + p0 + t * (p1 - p0)
     return np.where(np.abs(H[:, 0]) < 1.0, 0.0, pm)
 

@@ -360,10 +360,18 @@ class PexSimulator(CircuitSimulator):
         per-sizing cached) pseudo-layout of the schematic.  Any structural
         surprise returns False, which makes the plan fall back to a full
         build + extract.
+
+        The update works on one sizing at a time (``max`` of the access
+        resistance, the per-sizing layout cache), so it declines the
+        ``(B,)`` value columns of a column-wise
+        :meth:`~repro.sim.stamp.StampPlan.stack`, which then restamps the
+        corner's system design by design.
         """
         rules = self.extractor.rules
 
         def update(extracted: Netlist, values: dict[str, float]) -> bool:
+            if any(isinstance(v, np.ndarray) for v in values.values()):
+                return False
             if not topology.update_netlist(extracted, values):
                 return False
             cap_prefix = f"{PEX_PREFIX}C_"

@@ -7,8 +7,10 @@ one topology at once amortises that overhead — device models evaluate on
 ``(B, K)`` arrays, companion stamps scatter through one matmul, and the
 linear solves run as one batched ``numpy.linalg.solve`` over ``(B, n, n)``.
 
-:class:`SystemStack` collects restamped :class:`~repro.sim.system.MnaSystem`
-snapshots; :func:`solve_dc_batch` runs :mod:`repro.sim.dc`'s one
+:class:`SystemStack` holds the value arrays of B same-structure
+:class:`~repro.sim.system.MnaSystem` designs (filled column-wise by
+:meth:`repro.sim.stamp.StampPlan.stack`, or one restamped snapshot at a
+time); :func:`solve_dc_batch` runs :mod:`repro.sim.dc`'s one
 continuation ladder — damped Newton, then gmin stepping, then source
 stepping — over them, each rung one :func:`_newton_batch` with per-design
 convergence masking, so converged designs drop out of the batched linear
@@ -30,11 +32,11 @@ snapshot.  What a slice means is the caller's business:
   sizing (one slice per draw).
 
 All three ride the same ``(B·K, n, n)`` damped-Newton solve and the same
-stacked measurement layer.  Per-slice metadata captured at
-:meth:`SystemStack.set_design` time — simulation temperature, the sizing
-``values`` dict, resistor thermal-noise constants — lets batched
-measurements (AC, step response, noise) run without ever re-binding the
-template system to an individual slice.
+stacked measurement layer.  Per-slice metadata captured when a slice is
+filled — simulation temperature, the sizing ``values`` dict, resistor
+thermal-noise constants — lets batched measurements (AC, step response,
+noise) run without ever re-binding the template system to an individual
+slice.
 """
 
 from __future__ import annotations
@@ -57,28 +59,31 @@ from repro.units import BOLTZMANN
 class SystemStack:
     """Same-structure MNA system snapshots stacked into batch arrays.
 
-    Built by restamping one template :class:`MnaSystem` per slice and
-    snapshotting its value arrays; the (shared) structure — terminal maps,
-    scatter matrices, sizes — is referenced from the template.
+    Filled column-wise from a :class:`~repro.sim.stamp.StampPlan`, or by
+    restamping one template :class:`MnaSystem` per slice and snapshotting
+    its value arrays (:meth:`set_design`); the (shared) structure —
+    terminal maps, scatter matrices, sizes — is referenced from the
+    template.
 
     ``n_designs`` counts *slices*.  A multi-corner stack flattens the
     (design, corner) grid corner-major into ``n_designs = B * K`` slices
     and records ``n_corners = K`` so the caller can reduce spec arrays
     over the corner axis (see the module docstring for the contract).
 
-    Besides the ``G/C/b`` value arrays, each :meth:`set_design` captures
-    per-slice measurement metadata: the slice's simulation temperature,
-    an optional sizing ``values`` dict, and the thermal-noise PSD constant
-    ``4 k T / R`` of every resistor — everything the batched measurement
-    layer needs that is not derivable from the matrices alone.
+    Besides the ``G/C/b`` value arrays, each slice carries measurement
+    metadata: the slice's simulation temperature, an optional sizing
+    ``values`` dict, and the thermal-noise PSD constant ``4 k T / R`` of
+    every resistor — everything the batched measurement layer needs
+    that is not derivable from the matrices alone.
 
     The device constants live in one preallocated ``(13, B, K)``
     :class:`~repro.circuits.mosfet.DeviceArrays` bank, :attr:`dev` (None
     for circuits without MOSFETs); :meth:`set_design` copies the slice's
-    ``(13, K)`` block into it.  Like ``G``/``C``/``b``, the bank is
-    refilled in place when a stack is snapshotted again (the scalar
-    measurement path keeps one one-slice stack per topology), so its
-    views must not outlive the evaluation that reads them.
+    ``(13, K)`` block into it, the column-wise fill computes all blocks
+    at once.  Like ``G``/``C``/``b``, the bank is refilled in place when
+    a stack is snapshotted again (the scalar measurement path keeps one
+    one-slice stack per topology), so its views must not outlive the
+    evaluation that reads them.
     """
 
     def __init__(self, template: MnaSystem, n_designs: int,
@@ -170,9 +175,9 @@ class SystemStack:
 
         The batched measurement layer's element-value accessor: spec
         extraction that needs a component value (e.g. noise referral
-        through a feedback resistor) reads the value captured at
-        :meth:`set_design` time instead of requiring per-slice sizing
-        dicts — so every slice of every stack is measurable stacked.
+        through a feedback resistor) reads the value captured when the
+        slice was filled instead of requiring per-slice sizing dicts — so
+        every slice of every stack is measurable stacked.
         """
         try:
             col = self.noise_res_names.index(name)

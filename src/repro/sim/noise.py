@@ -19,7 +19,7 @@ import dataclasses
 import numpy as np
 
 from repro.errors import AnalysisError
-from repro.sim.ac import ac_solutions, ac_sweep, small_signal_operator
+from repro.sim.ac import ac_solutions, ac_sweep
 from repro.sim.dc import OperatingPoint
 from repro.sim.system import MnaSystem
 

@@ -454,18 +454,26 @@ class MnaSystem:
         reject the NaN values where that differs from ``!=``.)"""
         if (self._const_elems and [e.stamp_key() for e in self._const_elems]
                 != self._const_keys):
-            keep, keys = [], []
-            for element, key in zip(self._const_elems, self._const_keys):
-                if element.stamp_key() != key:
-                    self._var_elems.append(element)
-                else:
-                    keep.append(element)
-                    keys.append(key)
-            if len(keep) < len(self._const_elems):
-                self._const_elems, self._const_keys = keep, keys
-                self._rebuild_base()
+            self._demote([e.stamp_key() != key for e, key
+                          in zip(self._const_elems, self._const_keys)])
         self._refresh_values()
         return self
+
+    def _demote(self, changed) -> None:
+        """Move the frozen elements flagged in ``changed`` (aligned with
+        ``_const_elems``) to the end of the per-rebind stamp list, in
+        frozen-list order, and rebuild the base without them."""
+        keep, keys = [], []
+        for element, key, moved in zip(self._const_elems, self._const_keys,
+                                       changed):
+            if moved:
+                self._var_elems.append(element)
+            else:
+                keep.append(element)
+                keys.append(key)
+        if len(keep) < len(self._const_elems):
+            self._const_elems, self._const_keys = keep, keys
+            self._rebuild_base()
 
     @property
     def G(self) -> np.ndarray:

@@ -163,6 +163,16 @@ class Topology(abc.ABC):
         :class:`~repro.sim.stamp.StampPlan` fall back to a full
         :meth:`build`.  Implementations are verified against fresh builds
         by the engine equivalence tests.
+
+        ``values`` may also map every parameter to a ``(B,)`` array, one
+        entry per design: :meth:`StampPlan.stack
+        <repro.sim.stamp.StampPlan.stack>` fills a batch by calling this
+        once on a scratch netlist, whose element values then become
+        ``(B,)`` columns.  So the mapping must be elementwise — plain
+        assignments and arithmetic, no ``float()``, ``max`` or branch on
+        a value — as every topology's in this package is; an
+        implementation that cannot be must return False for array
+        values, and the plan then restamps design by design.
         """
         return False
 

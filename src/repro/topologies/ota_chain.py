@@ -33,8 +33,6 @@ branch current, so a full evaluation stays ``O(nnz)`` per frequency.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.circuits.elements import (Capacitor, CurrentSource, Resistor,
                                      VoltageSource)
 from repro.circuits.mosfet import Mosfet

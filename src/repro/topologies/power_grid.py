@@ -43,8 +43,6 @@ the probe (LOWER_BOUND) and total supply current including the mesh
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.circuits.elements import (Capacitor, CurrentSource, Resistor,
                                      VoltageSource)
 from repro.circuits.mosfet import Mosfet

@@ -32,7 +32,7 @@ from repro.measure.pipeline import (
 from repro.sim.ac import log_frequencies
 from repro.topologies.base import Topology
 from repro.topologies.params import GridParam, ParameterSpace
-from repro.units import FEMTO, KILO, MICRO, PICO
+from repro.units import FEMTO, KILO, MICRO
 
 
 class TransimpedanceAmplifier(Topology):

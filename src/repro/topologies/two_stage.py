@@ -22,7 +22,7 @@ current 0.1–10 mA (upper bound, softly minimised — the paper's o_th term).
 
 from __future__ import annotations
 
-from repro.circuits.elements import Capacitor, CurrentSource, Resistor, VoltageSource
+from repro.circuits.elements import Capacitor, CurrentSource, VoltageSource
 from repro.circuits.mosfet import Mosfet
 from repro.circuits.netlist import Netlist
 from repro.circuits.technology import Technology, ptm45

@@ -20,9 +20,9 @@ import repro
 
 #: Modules under the strict everything-documented rule (the least-obvious
 #: hot modules: the device model, the DC continuation ladder and the
-#: batched Newton loop with their bitwise contracts, process plumbing,
-#: the sparse backend, and the measurement pipeline every topology's
-#: specs now flow through).
+#: batched Newton loop with their bitwise contracts, the column-wise
+#: stack fill, process plumbing, the sparse backend, and the measurement
+#: pipeline every topology's specs now flow through).
 STRICT_MODULES = (
     "repro.circuits.mosfet",
     "repro.sim.batch",
@@ -32,6 +32,7 @@ STRICT_MODULES = (
     "repro.sim.krylov",
     "repro.sim.parallel",
     "repro.sim.sparse",
+    "repro.sim.stamp",
     "repro.rl.parallel",
     "repro.rl.nn",
     "repro.rl.distributions",
