@@ -135,16 +135,14 @@ EXPERIMENTS: dict[str, Experiment] = {
             ("repro.sim.sparse", "repro.sim.engine",
              "repro.topologies.ota_chain")),
         Experiment(
-            "krylov_engine", "Iterative vs sparse-direct engine at mesh "
-            "scale",
+            "condensation", "Condensed mesh interior at mesh scale",
             "Beyond the paper: the power-grid OTA scenario family "
-            "(5k-50k MNA unknowns) runs its warm evaluations with DC "
-            "Newton and the AC sweep condensed onto the mesh boundary, "
-            "next to ILU-preconditioned GMRES sweeps, bracketing "
-            "the sparse-vs-iterative crossover that sets the auto "
-            "selector's second threshold",
-            "benchmarks/bench_krylov_engine.py",
-            ("repro.sim.krylov", "repro.sim.condense", "repro.sim.engine",
+            "(5k-50k MNA unknowns) pays one AC reduction and one DC "
+            "interior factor per structure, then runs its warm "
+            "evaluations with DC Newton and the AC sweep condensed onto "
+            "the mesh boundary, next to the same loop on the full system",
+            "benchmarks/bench_condensation.py",
+            ("repro.sim.condense", "repro.sim.engine",
              "repro.topologies.power_grid")),
     ]
 }

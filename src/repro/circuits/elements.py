@@ -212,8 +212,9 @@ class VoltageSource(TwoTerminal):
         stamper.add_g(k, i, 1.0)
         stamper.add_g(k, j, -1.0)
         stamper.add_b_dc(k, self.dc)
-        if self.ac:
-            stamper.add_b_ac(k, self.ac)
+        # Unconditional: a column-wise stack fill passes (B,) value
+        # arrays, and adding +0.0 to b_ac changes no bit.
+        stamper.add_b_ac(k, self.ac)
 
 
 class CurrentSource(TwoTerminal):
@@ -233,9 +234,8 @@ class CurrentSource(TwoTerminal):
         i, j = stamper.node(self.p), stamper.node(self.n)
         stamper.add_b_dc(i, -self.dc)
         stamper.add_b_dc(j, self.dc)
-        if self.ac:
-            stamper.add_b_ac(i, -self.ac)
-            stamper.add_b_ac(j, self.ac)
+        stamper.add_b_ac(i, -self.ac)
+        stamper.add_b_ac(j, self.ac)
 
 
 class Vccs(Element):

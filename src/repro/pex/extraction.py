@@ -221,12 +221,6 @@ class PexSimulator(CircuitSimulator):
         self.counter = SimulationCounter()
         self._cache = SimulationCache(50_000) if cache else None
 
-    def _krylov_systems(self) -> list:
-        """Every corner plan's cached system (iterative solve counters
-        drain from all of them at publish time)."""
-        return [plan.system for plan in self._plans
-                if plan.system is not None]
-
     def reset_warm_start(self) -> None:
         """Drop every corner topology's per-trajectory warm-start state;
         the canonical corner centre solutions survive — they carry no

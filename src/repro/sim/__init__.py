@@ -30,11 +30,10 @@ batched solves):
   one structure-cached CSC master pattern per system, in-place ``.data``
   refresh per sizing, cached ``splu`` factorisations for DC Newton, AC
   sweeps, the noise adjoint and transient steps;
-* :mod:`repro.sim.krylov` is the ILU-preconditioned GMRES backend for
-  mesh-scale netlists (10^4+ unknowns): trust-gated Krylov solves in
-  Newton's contractive endgame with direct-``splu`` fallback, shifted-ILU
-  AC sweeps with adjoint support, preconditioner reuse across Newton
-  steps, frequency points and evaluations;
+* :mod:`repro.sim.condense` eliminates the sizing-invariant R/C
+  interior of mesh-scale netlists exactly: out of every measured AC
+  sweep on both sparse legs, and out of the gmin-0 DC Newton steps of
+  the iterative leg (the sparse leg plus that condensed step);
 * :mod:`repro.sim.noise` computes output/input-referred noise spectra;
 * :mod:`repro.sim.poles` extracts natural frequencies (pole analysis);
 * :mod:`repro.sim.sweep` steps a source for VTC/output-swing analysis;

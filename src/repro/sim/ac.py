@@ -117,14 +117,6 @@ class ACResult:
         return np.degrees(ph)
 
 
-def small_signal_operator(system: MnaSystem, op: OperatingPoint,
-                          frequencies: np.ndarray) -> np.ndarray:
-    """Return the stacked complex MNA operators ``A[f] = G + j w C``."""
-    G, C = system.small_signal_matrices(op)
-    omega = 2.0 * np.pi * np.asarray(frequencies, dtype=float)
-    return G[None, :, :] + 1j * omega[:, None, None] * C[None, :, :]
-
-
 def _modal_solutions(G: np.ndarray, C: np.ndarray, b: np.ndarray,
                      omega: np.ndarray,
                      cols: np.ndarray | None = None) -> np.ndarray | None:

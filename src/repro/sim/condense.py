@@ -33,7 +33,9 @@ rows only.  So ``G_II`` is factored once per structure, next to
 the dense boundary matrix ``A_BB - Y0`` and solves in delta form from
 the Newton iterate, ``x = x0 + K^-1 (rhs - A x0)``, refined against the
 full CSC operator until the backward error reaches the rounding plateau
-of :mod:`repro.sim.krylov`.  gmin rungs keep the Krylov path.
+of a direct solve (:data:`PLATEAU_TOL`).  gmin rungs, and every step the
+condensation declines, factor the full CSC Jacobian with ``splu`` as the
+sparse-direct leg does.
 
 The reduction is exact only for slices whose interior equals the one it
 was built from.  A stack can hold slices snapshotted from several
@@ -55,12 +57,19 @@ from scipy.sparse.linalg import splu as _splu
 
 from repro.circuits.elements import Capacitor, Resistor
 from repro.sim.engine import SPARSE_AUTO_THRESHOLD
-from repro.sim.krylov import PLATEAU_TOL, REFINE_MAX
 
 # Raw LAPACK: a singular boundary matrix reports ``info > 0`` instead of
 # the LinAlgWarning of ``scipy.linalg.lu_factor``.
 _DGETRF, _DGETRS = get_lapack_funcs(
     ("getrf", "getrs"), (np.empty((1, 1)), np.empty(1)))
+
+#: Normwise backward error ``|b - A x| / (|A| |x| + |b|)`` at which a
+#: condensed Newton step stops refining: the rounding plateau (~n*eps)
+#: of a backward-stable direct solve.
+PLATEAU_TOL = 1e-15
+
+#: Maximum refinement rounds after a condensed step's first solve.
+REFINE_MAX = 3
 
 #: Boundary size from which a system keeps the full path.  The boundary
 #: system is solved dense, which beats the sparse full path only below
@@ -181,7 +190,7 @@ class Condensation:
         """``(lu, W, Y0)``: ``splu`` of the frozen ``G_II``, ``W = G_II^-1
         G_IP`` and the DC port correction ``Y0 = G_IP^T W``, computed once
         per condensation.  None when ``G_II`` is singular, which leaves DC
-        Newton to the Krylov path."""
+        Newton to the full ``splu`` path."""
         if not self._dc_built:
             self._dc_built = True
             n_in = len(self.interior)
@@ -200,7 +209,7 @@ class Condensation:
         """The condensed Newton step over master-pattern Jacobian ``data``
         from iterate ``x0``; None on a gmin rung, when ``data``'s
         interior-coupled entries differ from the snapshot and when
-        ``G_II`` is singular (the caller keeps the Krylov path)."""
+        ``G_II`` is singular (the caller factors the full Jacobian)."""
         if (gmin != 0.0 or not np.array_equal(data[self._ic_pos], self._G_ic)
                 or self.dc_factor() is None):
             return None
@@ -256,7 +265,7 @@ class Condensation:
 class CondensedNewton:
     """One Newton step of the iterative leg through a
     :class:`Condensation`: the operator and factor consumed by the
-    ``_lu_factor``/``_lu_solve`` seam of :mod:`repro.sim.dc`."""
+    ``newton_factor`` seam of :func:`repro.sim.dc._lu_factor`."""
 
     def __init__(self, cond: Condensation, data: np.ndarray,
                  x0: np.ndarray):

@@ -79,17 +79,16 @@ def _lu_factor(A):
     """LU-factor ``A`` (overwritten); None when singular.
 
     Accepts a dense array (LAPACK getrf), a scipy CSC matrix from the
-    sparse engine (:func:`scipy.sparse.linalg.splu`), or an operator of
-    the iterative engine (duck-typed via its ``newton_factor``
-    attribute): a :class:`~repro.sim.condense.CondensedNewton` step or a
-    :class:`~repro.sim.krylov.KrylovOperator`.  The Newton driver never
-    needs to know which backend assembled its Jacobian.
+    sparse legs (:func:`scipy.sparse.linalg.splu`), or the iterative
+    leg's condensed step, a :class:`~repro.sim.condense.CondensedNewton`
+    (duck-typed via its ``newton_factor`` attribute).  The Newton driver
+    never needs to know which backend assembled its Jacobian.
     """
     newton_factor = getattr(A, "newton_factor", None)
-    if newton_factor is not None:      # iterative engine
+    if newton_factor is not None:      # condensed step (iterative leg)
         factor = newton_factor()
-        return ("iterative", factor) if factor is not None else None
-    if not isinstance(A, np.ndarray):  # sparse engine: CSC + SuperLU
+        return ("condensed", factor) if factor is not None else None
+    if not isinstance(A, np.ndarray):  # sparse legs: CSC + SuperLU
         try:
             return ("sparse", splu(A))
         except RuntimeError:
@@ -100,7 +99,7 @@ def _lu_factor(A):
 
 def _lu_solve(lu, b: np.ndarray) -> np.ndarray:
     """Solve with factors from :func:`_lu_factor`."""
-    if isinstance(lu[0], str):     # ("sparse", SuperLU)/("iterative", f)
+    if isinstance(lu[0], str):     # ("sparse", SuperLU)/("condensed", f)
         return lu[1].solve(b)
     x, _ = _DGETRS(lu[0], lu[1], b)
     return x

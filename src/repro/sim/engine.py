@@ -1,5 +1,5 @@
 """Linear-algebra engine selection: dense LAPACK, sparse SuperLU, or
-ILU-preconditioned Krylov iteration.
+the sparse leg with condensed DC Newton.
 
 The repo's historical circuits have 5–40 unknowns, where dense matrices
 (and the dense stamp scatter maps of :mod:`repro.sim.system`) beat any
@@ -9,11 +9,11 @@ into the hundreds, where the dense ``O(n^3)`` solves (and the
 ``O(K n^2)`` scatter maps) stop scaling; those systems route their
 factorisations through :mod:`repro.sim.sparse` instead.  Power-grid
 meshes (:class:`~repro.topologies.power_grid.PowerGridOta`) push another
-order of magnitude, past the point where SuperLU's superlinear fill-in
-and ordering cost dominate — those systems keep the sparse *assembly*
-(the CSC master pattern) but solve iteratively through
-:mod:`repro.sim.krylov` (ILU-preconditioned GMRES/BiCGSTAB with
-factor-reuse across Newton steps and frequency points).
+order of magnitude; the *iterative* leg keeps the sparse assembly and
+factorisations and solves their gmin-0 DC Newton steps through the
+exact condensation of the mesh interior (:mod:`repro.sim.condense`).
+The leg is named after the ILU-preconditioned Krylov solver it used to
+run, which the condensation made unnecessary and which is gone.
 
 Selection contract
 ------------------
@@ -23,18 +23,18 @@ so tests can monkeypatch it per-case):
 
 * ``auto`` (default) — dense below :data:`SPARSE_AUTO_THRESHOLD`
   unknowns, sparse direct between the two thresholds, iterative at or
-  above :data:`ITERATIVE_AUTO_THRESHOLD`.  Both thresholds sit at
-  empirically-measured crossovers (``benchmarks/bench_sparse_engine.py``
-  and ``benchmarks/bench_krylov_engine.py``).
+  above :data:`ITERATIVE_AUTO_THRESHOLD`.  The first threshold sits at
+  the crossover measured by ``benchmarks/bench_sparse_engine.py``; the
+  second is explained where it is defined.
 * ``dense`` — force dense everywhere (the pre-PR-3 behaviour).
 * ``sparse`` — force sparse direct everywhere, including the small
   circuits.  Slower there (SuperLU's per-call overhead dwarfs a 15x15
   factorisation) but invaluable for the engine-equivalence test matrix.
-* ``iterative`` — force the Krylov leg everywhere.  Same assembly as
-  ``sparse``; solves run preconditioned GMRES with a direct-``splu``
-  fallback on non-convergence, so forcing it is always safe.  A system
-  with a condensable interior solves its gmin-0 Newton steps through
-  :mod:`repro.sim.condense` instead.
+* ``iterative`` — force the iterative leg everywhere: the sparse leg
+  plus condensed DC Newton.  A system with a condensable interior
+  solves its gmin-0 Newton steps through :mod:`repro.sim.condense`;
+  every other Newton step, AC sweep and noise adjoint is bitwise the
+  sparse leg's, so forcing it is always safe.
 
 Callers that need a specific backend regardless of the environment pass
 ``engine="dense"``/``"sparse"``/``"iterative"`` explicitly to
@@ -56,15 +56,15 @@ from repro.knobs import env_knob, one_of
 #: routing mesh/chain scenarios sparse.
 SPARSE_AUTO_THRESHOLD = 128
 
-#: ``auto`` switches from sparse direct to the Krylov leg at this many
-#: unknowns.  Set from ``benchmarks/bench_krylov_engine.py`` on the
-#: power-grid OTA family: warm full evaluations break even around the
-#: 1.3k-unknown mesh (1.08x, within run-to-run noise) and win clearly
-#: from the 5k mesh up (1.5x), with the gap widening as ``splu``'s
-#: superlinear fill-in cost pulls away from the reused-ILU iterative
-#: solves (warm DC linear algebra 2.4x, AC sweeps ~5x at 15k); 4096
-#: sits above the noisy breakeven band so every workload the direct
-#: path clearly wins stays on it.
+#: ``auto`` switches from sparse direct to the iterative leg (the
+#: sparse leg plus condensed DC Newton) at this many unknowns.  No
+#: registered scenario reaches it; only the 5k–50k-unknown power-grid
+#: meshes of perfbench's ``mesh_walk`` and of the benches do, and each
+#: has a condensable interior.  The value was the measured crossover of
+#: the retired ILU-GMRES solver; it stays because moving it would change
+#: which systems condense their DC Newton steps, and so their numerics
+#: (a condensed step agrees with ``splu`` to the rounding plateau, not
+#: bit for bit).
 ITERATIVE_AUTO_THRESHOLD = 4096
 
 _MODES = ("auto", "dense", "sparse", "iterative")
@@ -79,7 +79,7 @@ def sparse_threshold() -> int:
 
 def iterative_threshold() -> int:
     """Unknown count at which ``auto`` switches from sparse direct to
-    the Krylov leg (:data:`ITERATIVE_AUTO_THRESHOLD`)."""
+    the iterative leg (:data:`ITERATIVE_AUTO_THRESHOLD`)."""
     return ITERATIVE_AUTO_THRESHOLD
 
 

@@ -46,13 +46,6 @@ class BatchReport:
     measurements.  ``faults`` lists every supervision event in
     occurrence order; ``retries`` counts the bisections (each re-runs a
     failed sub-batch as two halves).
-
-    Iterative-engine batches additionally account their linear solves:
-    ``krylov_solves`` / ``krylov_iterations`` count preconditioned
-    Krylov solves and their summed inner iterations,
-    ``krylov_fallbacks`` the solves that degraded to the direct sparse
-    path (non-convergence), and ``krylov_residual`` the worst relative
-    true residual accepted.  All zero on the dense/sparse legs.
     """
 
     n_designs: int
@@ -61,10 +54,6 @@ class BatchReport:
     attempts: np.ndarray = None
     latency: np.ndarray = None
     quarantined: np.ndarray = None
-    krylov_solves: int = 0
-    krylov_iterations: int = 0
-    krylov_fallbacks: int = 0
-    krylov_residual: float = 0.0
 
     def __post_init__(self):
         """Allocate the per-row arrays when not provided."""
@@ -95,11 +84,7 @@ class BatchReport:
         row to its caller rows.  Rows served purely from cache keep
         zeroed entries (they were never at risk).
         """
-        out = BatchReport(n_designs, retries=self.retries,
-                          krylov_solves=self.krylov_solves,
-                          krylov_iterations=self.krylov_iterations,
-                          krylov_fallbacks=self.krylov_fallbacks,
-                          krylov_residual=self.krylov_residual)
+        out = BatchReport(n_designs, retries=self.retries)
         for i in range(self.n_designs):
             for r in row_map.get(i, ()):
                 out.attempts[r] = self.attempts[i]

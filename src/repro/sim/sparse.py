@@ -26,8 +26,8 @@ so no ``(n, n)`` array exists behind the sparse legs:
   stamps, and ``O(K)`` scatter-adds of the device quantities through
   precomputed position indices.
 * :class:`SparseSlice` — the values of one design of a sparse
-  :class:`~repro.sim.batch.SystemStack` (its ``G`` data, ``b_dc``,
-  device bank and Krylov cache) behind the ``newton_matrices``/
+  :class:`~repro.sim.batch.SystemStack` (its ``G`` data, ``b_dc`` and
+  device bank) behind the ``newton_matrices``/
   ``residual`` surface of :class:`MnaSystem`.  It assembles through the
   stack template's own sparse Newton and residual code, so the scalar
   Newton driver solves each stacked design exactly as it solves the
@@ -359,16 +359,10 @@ def stack_sweep_factors(stack, rows: np.ndarray, g3: np.ndarray,
     block-diagonal ``splu`` per design — exactly the scalar AC path of
     :meth:`repro.sim.system.MnaSystem.sparse_sweep_lus`, applied slice by
     slice.  Callers memoise the returned factors so the forward sweep and
-    the noise adjoint of one measurement share them.  Iterative-engine
-    stacks get per-design :class:`~repro.sim.krylov.KrylovSweep` objects
-    instead — same ``solve(b, adjoint=)`` contract, shared solve counters.
+    the noise adjoint of one measurement share them.  The iterative leg
+    factors its stacks the same way.
     """
-    tpl = stack.template
-    if getattr(tpl, "iterative", False):
-        from repro.sim.krylov import stack_sweep_factors_krylov
-        return stack_sweep_factors_krylov(stack, rows, g3, c4, omega,
-                                          stats=tpl.krylov_state.stats)
-    st = tpl.sparse_state
+    st = stack.template.sparse_state
     facts = []
     for j, r in enumerate(rows):
         Gd, Cd = st.ss_data(stack.G_pat[r], stack.C_pat[r], g3[j], c4[j])
@@ -380,13 +374,12 @@ class SparseSlice:
     """Values of one slice of a sparse
     :class:`~repro.sim.batch.SystemStack`, solved through its template.
 
-    Holds the slice's ``G`` data, ``b_dc``, device bank and (on the
-    iterative leg) its own Krylov cache — each design's Jacobian drifts
-    on its own, while the counters are the template's.  Assembly is the
-    template :class:`~repro.sim.system.MnaSystem`'s own sparse Newton and
-    residual code run on these values, so :func:`repro.sim.dc.solve_dc`
-    (or the ladder behind :func:`~repro.sim.batch.solve_dc_batch`) solves
-    a slice exactly as it solves the restamped system of that design.
+    Holds the slice's ``G`` data, ``b_dc`` and device bank.  Assembly is
+    the template :class:`~repro.sim.system.MnaSystem`'s own sparse Newton
+    and residual code run on these values, so
+    :func:`repro.sim.dc.solve_dc` (or the ladder behind
+    :func:`~repro.sim.batch.solve_dc_batch`) solves a slice exactly as it
+    solves the restamped system of that design.
     """
 
     def __init__(self, stack, i: int):
@@ -399,12 +392,6 @@ class SparseSlice:
         self.device_arrays = (stack.dev.take(i) if stack.dev is not None
                               else None)
         self._G_data = stack.G_pat[i]
-        if tpl.iterative:
-            from repro.sim.krylov import KrylovState
-            self.krylov_state = KrylovState(tpl.sparse_state,
-                                            stats=tpl.krylov_state.stats)
-        else:
-            self.krylov_state = None
 
     def _sparse_G_data(self) -> np.ndarray:
         """Master-pattern data of this slice's ``G`` (read-only use)."""

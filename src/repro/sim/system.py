@@ -48,11 +48,11 @@ structure-cached CSC pattern of :class:`repro.sim.sparse.SparseState`
 (one fixed sparsity pattern per structure), factor their Newton/AC/
 transient operators on it and hold no ``(n, n)`` array (``G``/``C`` are
 densified on access, and the large dense scatter maps are lazy for the
-same reason).  The ``iterative`` leg shares that CSC assembly but
-replaces ``splu`` for the 10^4-unknown mesh scenarios where direct
-factorisation walls: gmin-0 DC Newton steps solve through the mesh's
-condensation (:mod:`repro.sim.condense`) and everything else through
-ILU-preconditioned Krylov solves (:mod:`repro.sim.krylov`).
+same reason).  The ``iterative`` leg is the sparse leg with one
+difference: its gmin-0 DC Newton steps solve through the system's
+condensation (:mod:`repro.sim.condense`) where that is exact; every
+other Newton step and every sweep factors with ``splu``, bitwise as on
+the sparse leg.
 """
 
 from __future__ import annotations
@@ -205,17 +205,11 @@ class MnaSystem:
         #: True when assembly routes through the CSC master pattern
         #: (both the sparse-direct and iterative legs).
         self.sparse = self.engine != "dense"
-        #: True when solves run ILU-preconditioned Krylov iteration.
+        #: True on the iterative leg, whose DC Newton steps condense the
+        #: interior where that is exact.
         self.iterative = self.engine == "iterative"
         self.sparse_state = (sparse_engine.SparseState(self, netlist)
                              if self.sparse else None)
-        if self.iterative:
-            from repro.sim.krylov import KrylovState
-            #: Drift-gated ILU cache + solve counters; deliberately
-            #: survives restamps (cross-evaluation preconditioner reuse).
-            self.krylov_state = KrylovState(self.sparse_state)
-        else:
-            self.krylov_state = None
 
         n1 = self.size + 1
         if self.sparse:
@@ -558,10 +552,10 @@ class MnaSystem:
         precomputed maps — O(1) Python calls regardless of device count.
 
         Sparse systems return ``A`` as a CSC matrix over the structure's
-        master pattern instead of a dense array, and iterative systems an
-        operator over it (a condensed step from
-        :meth:`~repro.sim.condense.Condensation.newton_operator` or a
-        :class:`~repro.sim.krylov.KrylovOperator`); the DC Newton driver's
+        master pattern instead of a dense array; iterative systems return
+        the condensed step of
+        :meth:`~repro.sim.condense.Condensation.newton_operator` where it
+        is exact and that CSC matrix otherwise.  The DC Newton driver's
         factorisation layer (:func:`repro.sim.dc._lu_factor`) handles
         every form transparently.
         """
@@ -599,9 +593,9 @@ class MnaSystem:
         scatter-adds) instead of a dense ``(n+1)^2`` fill and scatter
         matmul.
 
-        ``values`` supplies the ``G`` data, ``b_dc``, device bank and
-        Krylov cache: this system, or a
-        :class:`~repro.sim.sparse.SparseSlice` of a stack built on it.
+        ``values`` supplies the ``G`` data, ``b_dc`` and device bank:
+        this system, or a :class:`~repro.sim.sparse.SparseSlice` of a
+        stack built on it.
         """
         st = self.sparse_state
         rhs = source_scale * values.b_dc
@@ -619,17 +613,15 @@ class MnaSystem:
             data = values._sparse_G_data().copy()
         if gmin > 0.0:
             data[st.node_diag_pos] += gmin
-        if self.iterative:
-            # Hand the Newton driver an operator, not a CSC matrix: the
-            # condensed step where it is exact, else Krylov.  Both start
-            # from the current iterate, so trajectory-seeded Newton cuts
-            # the linear work too.
+        cond = self.condensation if self.iterative else None
+        if cond is not None:
+            # The condensed step where it is exact (it solves in delta
+            # form from the current iterate); everything it declines is
+            # the sparse leg's CSC Jacobian, factored by splu.
             x0 = np.array(x[:self.size], dtype=float)
-            cond = self.condensation
-            op = None if cond is None else cond.newton_operator(data, x0, gmin)
-            if op is None:
-                op = values.krylov_state.operator(data, x0=x0, gmin=gmin)
-            return op, rhs
+            op = cond.newton_operator(data, x0, gmin)
+            if op is not None:
+                return op, rhs
         return st.matrix(data), rhs
 
     def _sparse_G_data(self) -> np.ndarray:
@@ -809,27 +801,22 @@ class MnaSystem:
         self._ss_sparse_memo = (op, Gs, Cs)
         return Gs, Cs
 
-    def sparse_sweep_lus(self, op, frequencies: np.ndarray) -> list:
-        """Cached sweep factors of ``G_ss + j w C_ss`` (``splu`` on the
-        sparse-direct leg, a :class:`~repro.sim.krylov.KrylovSweep` on
-        the iterative one — same ``solve(b, adjoint=)`` contract).
+    def sparse_sweep_lus(self, op, frequencies: np.ndarray
+                         ) -> sparse_engine.SweepFactorization:
+        """Cached :class:`~repro.sim.sparse.SweepFactorization` of
+        ``G_ss + j w C_ss`` over the grid (one block-diagonal ``splu``).
 
         Memoised per (operating point, frequency-grid object): within one
         measurement the forward AC sweep, the gain referral and the noise
         adjoint all linearise at the same ``op`` over the same grid, so
-        every frequency point is factored (or anchored) exactly once.
+        every frequency point is factored exactly once.
         """
         memo = self._sp_lu_memo
         if memo is not None and memo[0] is op and memo[1] is frequencies:
             return memo[2]
         Gs, Cs = self.small_signal_sparse(op)
         omega = 2.0 * np.pi * np.asarray(frequencies, dtype=float)
-        if self.iterative:
-            from repro.sim.krylov import KrylovSweep
-            lus = KrylovSweep(self.sparse_state, Gs.data, Cs.data, omega,
-                              stats=self.krylov_state.stats)
-        else:
-            lus = self.sparse_state.sweep_lus(Gs.data, Cs.data, omega)
+        lus = self.sparse_state.sweep_lus(Gs.data, Cs.data, omega)
         self._sp_lu_memo = (op, frequencies, lus)
         return lus
 

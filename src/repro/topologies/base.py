@@ -566,26 +566,10 @@ class CircuitSimulator:
         (``fresh`` None) publish a clean report — nothing was at risk.
         """
         if fresh is None:
-            report = BatchReport(n_designs)
+            self.last_batch_report = BatchReport(n_designs)
         else:
-            report = fresh.translate(dict(enumerate(plan.fresh_rows)),
-                                     n_designs)
-        for system in self._krylov_systems():
-            stats = getattr(system, "krylov_state", None)
-            if stats is None:
-                continue
-            taken = stats.stats.take()
-            report.krylov_solves += taken["solves"]
-            report.krylov_iterations += taken["iterations"]
-            report.krylov_fallbacks += taken["fallbacks"]
-            report.krylov_residual = max(report.krylov_residual,
-                                         taken["max_residual"])
-        self.last_batch_report = report
-
-    def _krylov_systems(self) -> list:
-        """Systems whose iterative solve counters this batch should
-        drain into its report (empty for non-engine simulators)."""
-        return []
+            self.last_batch_report = fresh.translate(
+                dict(enumerate(plan.fresh_rows)), n_designs)
 
     def failure_measurements(self) -> dict[str, float]:
         """Pessimistic spec values charged to quarantined designs
@@ -683,13 +667,6 @@ class SchematicSimulator(CircuitSimulator):
         self.spec_space = topology.spec_space
         self.counter = SimulationCounter()
         self._cache = SimulationCache(cache_size) if cache else None
-
-    def _krylov_systems(self) -> list:
-        """The topology's planned system (iterative counters drain from
-        there at publish time)."""
-        plan = getattr(self.topology, "_plan", None)
-        system = getattr(plan, "system", None)
-        return [system] if system is not None else []
 
     # The shared front-end, bound in this class's own namespace too: the
     # benchmark tracer (perfbench/tracing.py) wraps and restores

@@ -3,7 +3,8 @@
 
 :class:`~repro.topologies.ota_chain.OtaChain` made the sparse-direct
 engine earn its keep at a few hundred unknowns; this module builds the
-workload that outgrows SuperLU itself.  The circuit is the classic
+workload that outgrows a SuperLU factorisation per Newton step and per
+frequency point.  The circuit is the classic
 power-integrity problem of digital/mixed-signal signoff:
 
 * a ``grid_n x grid_n`` **power mesh** — series resistance along every
@@ -11,8 +12,9 @@ power-integrity problem of digital/mixed-signal signoff:
   to ground — fed from the clean supply through tap resistors at the
   four corners.  The mesh is where the unknowns live, and no sizing
   touches it: :mod:`repro.sim.condense` eliminates it exactly once per
-  structure, so every DC Newton step and AC sweep solves only the ~21
-  unknowns on its boundary (amp terminals, taps, sources).
+  structure, so every measured AC sweep (and, on the iterative leg,
+  every gmin-0 DC Newton step) solves only the ~21 unknowns on its
+  boundary (amp terminals, taps, sources).
 * ``n_amps`` identical 5T OTAs wired as unity-gain buffers, each drawing
   its supply from a mesh tap along the grid diagonal (source *and* well
   of the PMOS loads ride the local grid voltage, so IR drop and supply
@@ -23,12 +25,12 @@ power-integrity problem of digital/mixed-signal signoff:
 
 The MNA size is dominated by ``grid_n^2``: the default 16x16
 configuration lands at ~270 unknowns (sparse territory, like the full
-chain), while the benchmark family (``benchmarks/bench_krylov_engine.py``)
-constructs 70/122/223-point grids for ~5k/15k/50k unknowns — past
+chain), while the benchmark family (``benchmarks/bench_condensation.py``)
+constructs 71/122/223-point grids for ~5k/15k/50k unknowns — past
 :data:`repro.sim.engine.ITERATIVE_AUTO_THRESHOLD`, where ``auto`` routes
 them to the iterative leg.  There the condensed steps carry the warm
-sizing loop, and the ILU-preconditioned Krylov solves of
-:mod:`repro.sim.krylov` serve only gmin-continuation rungs.
+sizing loop, and gmin-continuation rungs factor the full Jacobian with
+``splu`` as on the sparse leg.
 Zoo-registered variants
 (``power_grid_ota`` + sweeps) stay test-sized for the same reason the
 chain's do: every registered scenario runs through the golden and

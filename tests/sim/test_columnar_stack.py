@@ -13,7 +13,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.circuits import Capacitor, Netlist, Resistor, VoltageSource
+from repro.circuits import (Capacitor, CurrentSource, Netlist, Resistor,
+                            VoltageSource)
 from repro.pex import PexSimulator
 from repro.sim import StampPlan, SystemStack
 from repro.topologies import NegGmOta, OtaChain, TwoStageOpAmp
@@ -249,3 +250,35 @@ class TestSegments:
         a = plan.system.node_index["a"]
         assert stack.C[0, a, a] == (C1 + TINY) + TINY
         assert stack.C[0, a, a] != (TINY + TINY) + C1
+
+
+# -- source values ------------------------------------------------------------
+def _sources(values):
+    net = Netlist("sources")
+    net.add(VoltageSource("V1", "in", "0", dc=1.0, ac=values["ac"]))
+    net.add(Resistor("R1", "in", "out", 1e3))
+    net.add(Resistor("R2", "out", "0", 1e3))
+    net.add(CurrentSource("I1", "out", "0", dc=1e-3, ac=values["ac"]))
+    return net
+
+
+def _update_sources(net, values):
+    """Writes the sources' AC values: a (B,) column in a column fill."""
+    net["V1"].ac = values["ac"]
+    net["I1"].ac = values["ac"]
+    return True
+
+
+@pytest.mark.parametrize("engine", ["dense", "sparse"])
+def test_source_value_column_matches_per_slice_loop(engine):
+    """An updater that writes per-design source values fills column-wise,
+    and the zero in the column stamps as the per-slice loop does."""
+    designs = [{"ac": ac} for ac in (0.5, 2.0, 0.0)]
+    plans = [StampPlan(_sources, updater=_update_sources, engine=engine)
+             for _ in range(2)]
+    ref = per_slice_stack(plans[0], designs)
+    restamps = plans[1].restamps
+    got = plans[1].stack(designs)
+    assert plans[1].restamps == restamps   # no per-design restamp
+    assert_same_stack(got, ref)
+    assert partition(plans[1]) == partition(plans[0])

@@ -14,8 +14,10 @@ the dense one included.  The contract under test
   stay on the full path;
 * on the iterative leg, gmin-0 DC Newton steps solve through the
   condensation (one interior factor per structure) and agree with the
-  Krylov path to the leg's 1e-8 bar; gmin rungs, slices with other
-  interior data and singular boundary systems keep today's behaviour.
+  direct path to the leg's 1e-8 bar; gmin rungs and slices with other
+  interior data factor the full CSC Jacobian with ``splu``, bit for bit
+  as the sparse leg does, and a singular boundary system is a failed
+  factorisation.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from repro.measure.pipeline import MeasureContext
 from repro.sim import MnaSystem, dc, solve_dc
 from repro.sim.batch import SystemStack, solve_dc_batch
 from repro.sim.condense import CondensedNewton, condensed_response
-from repro.sim.krylov import KrylovOperator
 from repro.sim.noise import noise_analysis
 from repro.sim.sparse import SparseSlice
 from repro.sim.stamp import StampPlan
@@ -133,15 +134,18 @@ class TestPartition:
         assert _system(topology, "sparse").condensation is not None
 
 
-def _counting_splu(monkeypatch) -> list:
+def _counting_splu(monkeypatch, module=condense_mod, name="_splu") -> list:
+    """Count the ``splu`` calls made through ``module.name``: the
+    condensation's interior factors by default, the DC driver's full
+    Jacobian factors with ``(dc, "splu")``."""
     calls = []
-    real = condense_mod._splu
+    real = getattr(module, name)
 
     def splu(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(condense_mod, "_splu", splu)
+    monkeypatch.setattr(module, name, splu)
     return calls
 
 
@@ -247,17 +251,12 @@ def test_master_pattern_is_read_only():
 
 
 # -- condensed DC Newton (iterative leg) --------------------------------------
-def _krylov_solves(system) -> int:
-    return system.krylov_state.stats.take()["solves"]
-
-
-def _walk(topology, x: np.ndarray, steps: int = 4
-          ) -> tuple[list, list, list, int]:
-    """A one-step walk on the iterative leg warm-started from ``x``:
-    operating points, specs and Newton iteration counts per step, and
-    the Krylov solves the walk took."""
+def _walk(topology, x: np.ndarray, engine: str = "iterative",
+          steps: int = 4) -> tuple[list, list, list]:
+    """A one-step walk on ``engine`` warm-started from ``x``: operating
+    points, specs and Newton iteration counts per step."""
     plan = StampPlan(topology.build, updater=topology.update_netlist,
-                     engine="iterative")
+                     engine=engine)
     space = topology.parameter_space
     point = np.asarray(space.center)
     xs, specs, iters = [], [], []
@@ -269,16 +268,25 @@ def _walk(topology, x: np.ndarray, steps: int = 4
         xs.append(op.x)
         specs.append(topology.measure(system, op))
         iters.append(op.iterations)
-    return xs, specs, iters, _krylov_solves(system)
+    return xs, specs, iters
 
 
-def test_condensed_walk_matches_krylov_walk(monkeypatch):
+def test_condensed_walk_matches_direct_walk(monkeypatch):
     topology = PowerGridOta(grid_n=8, n_amps=2)
     x = solve_dc(_system(topology, "sparse")).x
-    xs, specs, iters, solves = _walk(topology, x)
-    monkeypatch.setattr(MnaSystem, "condensation", property(lambda s: None))
-    ref_xs, ref_specs, ref_iters, ref_solves = _walk(topology, x)
-    assert solves == 0 and ref_solves > 0
+    factors = _counting_splu(monkeypatch, dc, "splu")
+    xs, specs, iters = _walk(topology, x)
+    assert not factors                  # every Newton step condensed
+    sp_xs, sp_specs, sp_iters = _walk(topology, x, engine="sparse")
+    # With every condensed step declined, the iterative leg is the
+    # sparse leg, bit for bit.
+    monkeypatch.setattr(condense_mod.Condensation, "newton_operator",
+                        lambda self, data, x0, gmin: None)
+    del factors[:]
+    ref_xs, ref_specs, ref_iters = _walk(topology, x)
+    assert factors                      # every step factored directly
+    assert ref_iters == sp_iters and ref_specs == sp_specs
+    assert all(np.array_equal(a, b) for a, b in zip(ref_xs, sp_xs))
     assert iters == ref_iters
     for got, ref in zip(xs, ref_xs):
         scale = max(1.0, float(np.abs(ref).max()))
@@ -288,17 +296,22 @@ def test_condensed_walk_matches_krylov_walk(monkeypatch):
             assert got[name] == pytest.approx(ref[name], rel=1e-8), name
 
 
-def test_gmin_zero_steps_are_condensed_and_rungs_take_krylov():
-    system = _system(PowerGridOta(grid_n=6, n_amps=2), "iterative")
+def test_gmin_zero_steps_are_condensed_and_rungs_factor_directly(
+        monkeypatch):
+    topology = PowerGridOta(grid_n=6, n_amps=2)
+    system = _system(topology, "iterative")
+    factors = _counting_splu(monkeypatch, dc, "splu")
     x = solve_dc(system).x
-    assert _krylov_solves(system) == 0
+    assert not factors
     A, _ = system.newton_matrices(x)
     assert isinstance(A, CondensedNewton)
 
     A, _ = system.newton_matrices(x, gmin=1e-6)
-    assert isinstance(A, KrylovOperator)
-    dc._newton(system, x, 1e-6, 1.0)
-    assert _krylov_solves(system) > 0
+    assert A.format == "csc"            # the sparse leg's Jacobian
+    got = dc._newton(system, x, 1e-6, 1.0)
+    assert factors
+    ref = dc._newton(_system(topology, "sparse"), x, 1e-6, 1.0)
+    assert np.array_equal(got[0], ref[0]) and got[1:] == ref[1:]
 
 
 def _iterative_stack(topology, netlists) -> tuple[list, SystemStack]:
@@ -316,27 +329,30 @@ def test_stack_batch_uses_the_template_factor(monkeypatch):
     systems, stack = _iterative_stack(
         topology, [topology.build(_center(topology)), topology.build(other)])
     calls = _counting_splu(monkeypatch)
+    factors = _counting_splu(monkeypatch, dc, "splu")
     result = solve_dc_batch(stack)
     assert result.converged.all()
-    assert _krylov_solves(systems[0]) == 0 and len(calls) == 1
+    assert not factors and len(calls) == 1
     for x, system in zip(result.x, systems):
         np.testing.assert_allclose(x, solve_dc(system).x, rtol=0.0,
                                    atol=1e-12)
 
 
-def test_slice_with_other_interior_takes_krylov_dc():
+def test_slice_with_other_interior_takes_direct_dc(monkeypatch):
     topology = PowerGridOta(grid_n=5, n_amps=2)
     netlist = topology.build(_center(topology))
     netlist["RV1_2"].resistance *= 2.0
-    systems, stack = _iterative_stack(
+    _, stack = _iterative_stack(
         topology, [topology.build(_center(topology)), netlist])
+    factors = _counting_splu(monkeypatch, dc, "splu")
     solve_dc(SparseSlice(stack, 0))
-    assert _krylov_solves(systems[0]) == 0
+    assert not factors
     other = solve_dc(SparseSlice(stack, 1))
-    assert _krylov_solves(systems[0]) > 0
-    ref = solve_dc(systems[1]).x
-    scale = max(1.0, float(np.abs(ref).max()))
-    np.testing.assert_allclose(other.x, ref, rtol=0.0, atol=1e-8 * scale)
+    assert factors
+    ref = solve_dc(_system(topology, "sparse", netlist))
+    assert np.array_equal(other.x, ref.x)
+    assert (other.iterations, other.residual_norm) == \
+        (ref.iterations, ref.residual_norm)
 
 
 def test_refinement_corrects_an_inexact_factor():

@@ -6,13 +6,13 @@ physics.  This suite pins that across every analysis and every topology,
 at tolerances far below anything a measurement could amplify into spec
 drift (DC solutions agree to <= 1e-9, assembled operators bit-for-bit).
 
-The iterative backend (:mod:`repro.sim.krylov`) is held to a looser but
-still spec-proof bar — <= 1e-8 against the sparse leg on every
-registered scenario.  It cannot be bitwise: trust-gated ILU/GMRES
-solves replace direct factorisation only in Newton's contractive
-endgame, where iterative refinement drives the backward error to the
-rounding plateau but the forward answer still differs from SuperLU's at
-the level the conditioning allows.
+The iterative leg (the sparse leg plus condensed DC Newton,
+:mod:`repro.sim.condense`) is held to a looser but still spec-proof bar
+— <= 1e-8 against the sparse leg on every registered scenario.  It is
+bitwise the sparse leg wherever it does not condense; a condensed Newton
+step solves the boundary system and refines to the rounding plateau,
+but its forward answer still differs from SuperLU's at the level the
+conditioning allows.
 
 The modal AC fast path is disabled for the strict comparisons — it is a
 *verified approximation* (residual-checked to 1e-7) on the dense side
@@ -119,7 +119,7 @@ class TestIterativeParity:
     1e-8 absolute (scaled by the solution/response magnitude) is the
     acceptance bar: far below what any measurement turns into spec
     drift, far above solver rounding, honest about the fact that a
-    Krylov solve at condition 1e10 is not a SuperLU solve.
+    condensed solve at condition 1e10 is not a SuperLU solve.
     """
 
     def test_dc_operating_point(self, name):
@@ -132,8 +132,8 @@ class TestIterativeParity:
         np.testing.assert_allclose(xi, xs, rtol=0.0, atol=1e-8 * scale)
 
     def test_ac_sweep(self, name, monkeypatch):
-        """Same operating point -> KrylovSweep shifted-ILU solutions
-        agree with the block splu factors to <= 1e-8 of the peak."""
+        """Same operating point -> the iterative leg's sweep agrees with
+        the sparse leg's block splu factors to <= 1e-8 of the peak."""
         monkeypatch.setattr(ac_mod, "_MODAL_ENABLED", False)
         sparse = MnaSystem(_center_netlist(name), engine="sparse")
         iterative = MnaSystem(_center_netlist(name), engine="iterative")
@@ -158,9 +158,8 @@ class TestAnalysisParity:
             nd.integrated_output_rms(), rel=1e-9)
 
     def test_noise_adjoint_iterative(self, monkeypatch):
-        """Noise transposed solves route through the ILU ``trans="T"``
-        operator on the iterative leg; the PSD must still match the
-        sparse adjoint path."""
+        """The iterative leg's noise adjoint (transposed solves through
+        its sweep factors) must match the sparse adjoint path."""
         monkeypatch.setattr(ac_mod, "_MODAL_ENABLED", False)
         sparse = MnaSystem(_cs_amp(), engine="sparse")
         iterative = MnaSystem(_cs_amp(), engine="iterative")

@@ -11,15 +11,8 @@ from repro.circuits import (
     VoltageSource,
     ptm45,
 )
-from repro.sim import MnaSystem, engine_mode, solve_dc
+from repro.sim import MnaSystem, solve_dc
 from repro.sim.system import StructureMismatch
-
-
-def _matrix_engine():
-    """Backend whose Newton matrices the assembly checks can read: the
-    iterative leg hands the DC driver an opaque Krylov operator over the
-    sparse leg's CSC assembly, so it is checked on that assembly."""
-    return "sparse" if engine_mode() == "iterative" else None
 
 
 class TestIndexing:
@@ -104,13 +97,13 @@ class TestResidual:
 
     def test_newton_matrices_consistent_with_residual(self, cs_amp_netlist):
         """A x - rhs must equal the residual F(x) at the linearisation point."""
-        system = MnaSystem(cs_amp_netlist, engine=_matrix_engine())
+        system = MnaSystem(cs_amp_netlist)
         x = np.full(system.size, 0.3)
         A, rhs = system.newton_matrices(x)
         assert np.allclose(A @ x - rhs, system.residual(x), atol=1e-12)
 
     def test_gmin_adds_to_node_diagonals_only(self, cs_amp_netlist):
-        system = MnaSystem(cs_amp_netlist, engine=_matrix_engine())
+        system = MnaSystem(cs_amp_netlist)
         x = np.zeros(system.size)
         a0, _ = system.newton_matrices(x, gmin=0.0)
         a1, _ = system.newton_matrices(x, gmin=1e-3)

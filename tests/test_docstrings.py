@@ -29,7 +29,6 @@ STRICT_MODULES = (
     "repro.sim.condense",
     "repro.sim.dc",
     "repro.sim.faults",
-    "repro.sim.krylov",
     "repro.sim.parallel",
     "repro.sim.sparse",
     "repro.sim.stamp",
