@@ -23,6 +23,22 @@ Linear elements implement :meth:`Element.stamp`.  Nonlinear devices (the
 MOSFET) additionally set ``is_nonlinear`` and implement
 ``eval_companion`` — see :mod:`repro.circuits.mosfet`.
 
+Each element also states which node pairs it ties together at DC
+(:meth:`Element.dc_edges`); :meth:`repro.circuits.netlist.Netlist.validate`
+finds floating nodes from those pairs alone.
+
+Values
+------
+Element values are assigned, never mutated in place: an update replaces
+a float (or, during a column-wise stack fill, a ``(B,)`` array) with
+another.  Every attribute assignment on a linear element (``is_nonlinear``
+false) advances one process-wide counter, :func:`linear_writes`.
+:class:`~repro.sim.system.MnaSystem` freezes the stamps of the linear
+elements whose values do not vary and compares their stamp keys again
+only once the counter has moved, so assigning to a linear element
+reopens the frozen-stamp check, and a restamp whose updater writes only
+MOSFET sizes skips it.
+
 Noise
 -----
 Elements that generate noise implement :meth:`Element.noise_sources`,
@@ -42,6 +58,16 @@ from repro.errors import NetlistError
 from repro.units import BOLTZMANN
 
 NoiseSource = tuple[str, str, Callable[[float], float]]
+
+_linear_writes = 0
+
+
+def linear_writes() -> int:
+    """Number of attribute assignments made on linear elements so far in
+    this process (see "Values" in the module docstring).  A caller that
+    records it can tell that no linear element value changed while it
+    still reads the same number."""
+    return _linear_writes
 
 
 class Element:
@@ -67,9 +93,22 @@ class Element:
         self.name = str(name)
         self.nodes = tuple(str(n) for n in nodes)
 
+    def __setattr__(self, name: str, value) -> None:
+        """Assign, advancing :func:`linear_writes` on a linear element."""
+        global _linear_writes
+        if not self.is_nonlinear:
+            _linear_writes += 1
+        object.__setattr__(self, name, value)
+
     def stamp(self, stamper) -> None:
         """Stamp the element's linear contribution into the MNA system."""
         raise NotImplementedError
+
+    def dc_edges(self) -> tuple[tuple[str, str], ...]:
+        """Node pairs this element ties together at DC.  A node that no
+        chain of such pairs links to ground has no DC path (its MNA rows
+        are singular).  None by default."""
+        return ()
 
     def stamp_key(self):
         """Hashable snapshot of the values :meth:`stamp` writes.
@@ -78,7 +117,10 @@ class Element:
         the stamps of elements whose key never changes across sizings and
         re-stamps only the rest.  ``None`` (the default) means "unknown" —
         the element is always re-stamped, which is safe for any subclass
-        that does not override this.
+        that does not override this.  A key must read only the element's
+        own attributes: the frozen keys are compared again only after an
+        assignment to a linear element (see "Values" in the module
+        docstring).
         """
         return None
 
@@ -98,10 +140,12 @@ class TwoTerminal(Element):
 
     @property
     def p(self) -> str:
+        """Positive terminal node name."""
         return self.nodes[0]
 
     @property
     def n(self) -> str:
+        """Negative terminal node name."""
         return self.nodes[1]
 
 
@@ -116,6 +160,7 @@ class Resistor(TwoTerminal):
         self.resistance = float(resistance)
 
     def stamp(self, stamper) -> None:
+        """Stamp the conductance ``1/R`` between ``p`` and ``n``."""
         i, j = stamper.node(self.p), stamper.node(self.n)
         g = 1.0 / self.resistance
         stamper.add_g(i, i, g)
@@ -123,10 +168,16 @@ class Resistor(TwoTerminal):
         stamper.add_g(i, j, -g)
         stamper.add_g(j, i, -g)
 
+    def dc_edges(self) -> tuple[tuple[str, str], ...]:
+        """The resistor conducts at DC: ``p``–``n``."""
+        return ((self.p, self.n),)
+
     def stamp_key(self):
+        """The resistance."""
         return self.resistance
 
     def noise_sources(self, op) -> list[NoiseSource]:
+        """Johnson noise ``4kT/R`` between ``p`` and ``n``."""
         psd = 4.0 * BOLTZMANN * op.temperature / self.resistance
 
         def thermal(freq, _psd: float = psd):
@@ -147,9 +198,12 @@ class Capacitor(TwoTerminal):
         self.capacitance = float(capacitance)
 
     def stamp_key(self):
+        """The capacitance."""
         return self.capacitance
 
     def stamp(self, stamper) -> None:
+        """Stamp the capacitance between ``p`` and ``n`` into ``C``; a
+        capacitor is open at DC, so it has no :meth:`dc_edges`."""
         i, j = stamper.node(self.p), stamper.node(self.n)
         c = self.capacitance
         stamper.add_c(i, i, c)
@@ -175,9 +229,11 @@ class Inductor(TwoTerminal):
         self.inductance = float(inductance)
 
     def stamp_key(self):
+        """The inductance."""
         return self.inductance
 
     def stamp(self, stamper) -> None:
+        """Stamp the branch current and ``v_p - v_n - L di/dt = 0``."""
         i, j = stamper.node(self.p), stamper.node(self.n)
         k = stamper.branch(self)
         stamper.add_g(i, k, 1.0)
@@ -185,6 +241,10 @@ class Inductor(TwoTerminal):
         stamper.add_g(k, i, 1.0)
         stamper.add_g(k, j, -1.0)
         stamper.add_c(k, k, -self.inductance)
+
+    def dc_edges(self) -> tuple[tuple[str, str], ...]:
+        """An inductor is a DC short: ``p``–``n``."""
+        return ((self.p, self.n),)
 
 
 class VoltageSource(TwoTerminal):
@@ -202,9 +262,12 @@ class VoltageSource(TwoTerminal):
         self.ac = float(ac)
 
     def stamp_key(self):
+        """The DC value and the AC magnitude."""
         return (self.dc, self.ac)
 
     def stamp(self, stamper) -> None:
+        """Stamp the branch current, ``v_p - v_n = dc`` and the AC
+        excitation."""
         i, j = stamper.node(self.p), stamper.node(self.n)
         k = stamper.branch(self)
         stamper.add_g(i, k, 1.0)
@@ -215,6 +278,10 @@ class VoltageSource(TwoTerminal):
         # Unconditional: a column-wise stack fill passes (B,) value
         # arrays, and adding +0.0 to b_ac changes no bit.
         stamper.add_b_ac(k, self.ac)
+
+    def dc_edges(self) -> tuple[tuple[str, str], ...]:
+        """The source fixes ``v_p - v_n``: ``p``–``n``."""
+        return ((self.p, self.n),)
 
 
 class CurrentSource(TwoTerminal):
@@ -228,9 +295,12 @@ class CurrentSource(TwoTerminal):
         self.ac = float(ac)
 
     def stamp_key(self):
+        """The DC value and the AC magnitude."""
         return (self.dc, self.ac)
 
     def stamp(self, stamper) -> None:
+        """Stamp the excitation currents; a current source sets a
+        current, not a potential, so it has no :meth:`dc_edges`."""
         i, j = stamper.node(self.p), stamper.node(self.n)
         stamper.add_b_dc(i, -self.dc)
         stamper.add_b_dc(j, self.dc)
@@ -251,9 +321,11 @@ class Vccs(Element):
         self.gm = float(gm)
 
     def stamp_key(self):
+        """The transconductance."""
         return self.gm
 
     def stamp(self, stamper) -> None:
+        """Stamp ``gm`` from the control pair into the output rows."""
         i, j = stamper.node(self.nodes[0]), stamper.node(self.nodes[1])
         k, l = stamper.node(self.nodes[2]), stamper.node(self.nodes[3])
         gm = self.gm
@@ -261,6 +333,13 @@ class Vccs(Element):
         stamper.add_g(i, l, -gm)
         stamper.add_g(j, k, -gm)
         stamper.add_g(j, l, gm)
+
+    def dc_edges(self) -> tuple[tuple[str, str], ...]:
+        """``p``–``n`` when the control pair is the output pair (a
+        conductance); otherwise none, so a node the source only drives
+        needs a DC path of its own."""
+        p, n, cp, cn = self.nodes
+        return ((p, n),) if {cp, cn} == {p, n} else ()
 
 
 class Vcvs(Element):
@@ -276,9 +355,11 @@ class Vcvs(Element):
         self.gain = float(gain)
 
     def stamp_key(self):
+        """The voltage gain."""
         return self.gain
 
     def stamp(self, stamper) -> None:
+        """Stamp the branch current and ``v_p - v_n = gain (v_cp - v_cn)``."""
         i, j = stamper.node(self.nodes[0]), stamper.node(self.nodes[1])
         k, l = stamper.node(self.nodes[2]), stamper.node(self.nodes[3])
         br = stamper.branch(self)
@@ -288,3 +369,8 @@ class Vcvs(Element):
         stamper.add_g(br, j, -1.0)
         stamper.add_g(br, k, -self.gain)
         stamper.add_g(br, l, self.gain)
+
+    def dc_edges(self) -> tuple[tuple[str, str], ...]:
+        """The output pair, whose difference the branch equation fixes:
+        ``p``–``n`` (the control nodes need paths of their own)."""
+        return ((self.nodes[0], self.nodes[1]),)

@@ -243,6 +243,11 @@ class Mosfet(Element):
         """Linear stamp is empty: the MOSFET is fully handled by the Newton
         companion model and the small-signal stamps."""
 
+    def dc_edges(self) -> tuple[tuple[str, str], ...]:
+        """The channel, ``d``–``s``: the gate is insulated and the bulk
+        draws no current, so neither anchors its node."""
+        return ((self.d, self.s),)
+
     def terminal_voltages(self, v: Callable[[str], float]) -> tuple[float, float, float]:
         """Return polarity-normalised (vgs, vds, vsb) given a node-voltage getter."""
         s = self._sign

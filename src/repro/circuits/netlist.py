@@ -9,18 +9,20 @@ performs at parse time.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
-import networkx as nx
-
-from repro.circuits.elements import Capacitor, CurrentSource, Element
+from repro.circuits.elements import Element
 from repro.errors import NetlistError
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 #: The global reference node.  ``"gnd"`` is accepted as an alias.
 GROUND = "0"
 
 
 def _canonical(node: str) -> str:
+    """``node`` with the ground aliases mapped to :data:`GROUND`."""
     return GROUND if node in (GROUND, "gnd", "GND", "vss!", "0") else node
 
 
@@ -66,12 +68,15 @@ class Netlist:
         return len(self._elements)
 
     def __iter__(self) -> Iterator[Element]:
+        """The elements in insertion order."""
         return iter(self._elements.values())
 
     def __contains__(self, name: str) -> bool:
+        """True when an element is called ``name``."""
         return name in self._elements
 
     def __getitem__(self, name: str) -> Element:
+        """The element called ``name``; raises :class:`NetlistError`."""
         try:
             return self._elements[name]
         except KeyError:
@@ -79,6 +84,7 @@ class Netlist:
 
     @property
     def elements(self) -> tuple[Element, ...]:
+        """The elements in insertion order."""
         return tuple(self._elements.values())
 
     def nodes(self) -> set[str]:
@@ -107,19 +113,18 @@ class Netlist:
     # -- structural checks ------------------------------------------------------
     def connectivity_graph(self, dc_only: bool = False) -> nx.Graph:
         """Graph with one vertex per node and one edge per element terminal
-        pair.  With ``dc_only`` capacitors (which are open at DC) are skipped."""
+        pair.  With ``dc_only`` the edges are the elements' DC edges
+        (:meth:`Element.dc_edges`), the pairs :meth:`validate` checks."""
+        import networkx as nx
+
         graph = nx.Graph()
         graph.add_node(GROUND)
         graph.add_nodes_from(self.nodes())
         for element in self:
-            if dc_only and isinstance(element, Capacitor):
-                continue
-            if dc_only and isinstance(element, CurrentSource):
-                # A current source enforces a current, not a potential; it
-                # does not anchor a node's DC voltage on its own.
-                continue
-            terminals = [n for n in element.nodes]
-            for a, b in zip(terminals, terminals[1:]):
+            terminals = element.nodes
+            pairs = (element.dc_edges() if dc_only
+                     else zip(terminals, terminals[1:]))
+            for a, b in pairs:
                 graph.add_edge(a, b, element=element.name)
         return graph
 
@@ -128,19 +133,29 @@ class Netlist:
 
         * the netlist must reference the ground node somewhere;
         * every node must have a DC path to ground (else the MNA matrix is
-          singular), where capacitors and current sources do not count as
-          paths.
+          singular): a chain of the elements' DC edges
+          (:meth:`Element.dc_edges`) — resistors, inductors, voltage
+          sources and VCVS outputs, MOSFET channels, a VCCS wired as a
+          conductance — found with a union-find.  Capacitors, current
+          sources, MOSFET gates and bulks and other VCCS outputs are no
+          path.
         """
         if not self._elements:
             raise NetlistError(f"netlist {self.title!r} is empty")
-        all_nodes = set()
-        for element in self:
-            all_nodes.update(element.nodes)
-        if GROUND not in all_nodes:
+        if not any(GROUND in element.nodes for element in self):
             raise NetlistError(f"netlist {self.title!r} never references ground")
-        graph = self.connectivity_graph(dc_only=True)
-        reachable = nx.node_connected_component(graph, GROUND)
-        floating = sorted(self.nodes() - reachable)
+        parent: dict[str, str] = {}
+
+        def root(node: str) -> str:
+            while parent.setdefault(node, node) != node:
+                parent[node] = node = parent[parent[node]]
+            return node
+
+        for element in self:
+            for a, b in element.dc_edges():
+                parent[root(a)] = root(b)
+        ground = root(GROUND)
+        floating = sorted(n for n in self.nodes() if root(n) != ground)
         if floating:
             raise NetlistError(
                 f"netlist {self.title!r}: nodes without a DC path to ground: "
@@ -148,8 +163,9 @@ class Netlist:
 
     # -- utility -----------------------------------------------------------------
     def copy(self, title: str | None = None) -> "Netlist":
-        """Shallow copy (elements are shared; safe because solvers never
-        mutate elements)."""
+        """Shallow copy: the elements are shared, so an in-place value
+        update (every ``StampPlan`` updater assigns element values)
+        through either netlist shows in both."""
         clone = Netlist(title or self.title)
         for element in self:
             clone._elements[element.name] = element

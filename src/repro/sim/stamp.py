@@ -34,6 +34,7 @@ from typing import Callable
 
 import numpy as np
 
+from repro.circuits import elements
 from repro.circuits.mosfet import DeviceArrays, Mosfet
 from repro.circuits.netlist import Netlist
 from repro.sim.batch import SystemStack
@@ -163,6 +164,15 @@ class StampPlan:
         rows are filled in segments split at those rows, so the rows
         before a demotion keep the base the per-slice loop stamps them
         on (the summation order of a matrix entry can differ after it).
+
+        The scratch keys are compared with the frozen ones only when a
+        linear element was assigned since the last comparison
+        (:func:`~repro.circuits.elements.linear_writes` moved): after
+        one, every scratch key equals its frozen key (the changed ones
+        were demoted), a scratch key changes only through an
+        assignment, and the system freezes new keys only from a new
+        build of the netlist, whose construction assigns too.  So a
+        fill whose updater writes only device sizes skips the scan.
         """
         system = self._system
         if system is None or system.netlist is not self._netlist:
@@ -179,13 +189,16 @@ class StampPlan:
         netlist = scratch.netlist
         if not self.updater(netlist, columns):
             return None
+        writes = elements.linear_writes()
         moves = []   # (first changed row, frozen-list position, element)
-        for p, (element, frozen) in enumerate(zip(system._const_elems,
-                                                  system._const_keys)):
-            row = _first_change(netlist[element.name].stamp_key(), frozen)
-            if row is not None:
-                moves.append((row, p, element))
-        moves.sort(key=lambda move: move[:2])
+        if writes != scratch.checked_at:
+            for p, (element, frozen) in enumerate(zip(system._const_elems,
+                                                      system._const_keys)):
+                row = _first_change(netlist[element.name].stamp_key(),
+                                    frozen)
+                if row is not None:
+                    moves.append((row, p, element))
+            moves.sort(key=lambda move: move[:2])
         stack = SystemStack(system, B, n_corners=n_corners)
         starts = sorted({row for row, _, _ in moves} | {0})
         for start, stop in zip(starts, starts[1:] + [B]):
@@ -193,6 +206,7 @@ class StampPlan:
             if moved:
                 system._demote([id(e) in moved for e in system._const_elems])
             _fill_linear(stack, system, netlist, slice(start, stop))
+        scratch.checked_at = writes
         stack.temperatures.fill(system.temperature)
         stack.values[:] = values_list
         if scratch.resistors:
@@ -217,8 +231,11 @@ class StampPlan:
 class _Scratch:
     """A plan's private build of its netlist, into which the updater
     writes ``(B,)`` value columns, with the element lists the column fill
-    reads (in the cached system's order: same structure, same order) and
-    the devices' cards (an updater writes sizes, never a card)."""
+    reads (in the cached system's order: same structure, same order), the
+    devices' cards (an updater writes sizes, never a card), and the
+    :func:`~repro.circuits.elements.linear_writes` count at the last
+    comparison of its keys with the system's frozen ones (None before
+    the first)."""
 
     def __init__(self, system: MnaSystem, netlist: Netlist):
         self.system = system
@@ -227,6 +244,7 @@ class _Scratch:
         self.resistors = tuple(netlist[name]
                                for name in system.resistor_names)
         self.cards = DeviceArrays.cards(self.mosfets)
+        self.checked_at: int | None = None
 
 
 class _ColumnStamper(_Stamper):

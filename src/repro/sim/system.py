@@ -59,6 +59,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.circuits import elements
 from repro.circuits.elements import Element, Resistor
 from repro.circuits.mosfet import (
     _TERMINAL_MAP as _TERM_MAP,
@@ -106,12 +107,15 @@ class _Stamper:
         self._pos = pos
 
     def node(self, name: str) -> int:
+        """Index of node ``name`` (``-1`` for ground)."""
         return self._system.node_index[name]
 
     def branch(self, element: Element) -> int:
+        """Index of ``element``'s branch-current unknown."""
         return self._system.branch_index[element.name]
 
     def _at(self, i: int, j: int):
+        """Where entry ``(i, j)`` lives in the stamped arrays."""
         if self._pos is None:
             return i, j
         if (i, j) not in self._pos:
@@ -121,18 +125,22 @@ class _Stamper:
         return self._pos[i, j]
 
     def add_g(self, i: int, j: int, value: float) -> None:
+        """Accumulate ``value`` into ``G[i, j]`` (ground skipped)."""
         if i >= 0 and j >= 0:
             self._G[self._at(i, j)] += value
 
     def add_c(self, i: int, j: int, value: float) -> None:
+        """Accumulate ``value`` into ``C[i, j]`` (ground skipped)."""
         if i >= 0 and j >= 0:
             self._C[self._at(i, j)] += value
 
     def add_b_dc(self, i: int, value: float) -> None:
+        """Accumulate ``value`` into ``b_dc[i]`` (ground skipped)."""
         if i >= 0:
             self._b_dc[i] += value
 
     def add_b_ac(self, i: int, value: float) -> None:
+        """Accumulate ``value`` into ``b_ac[i]`` (ground skipped)."""
         if i >= 0:
             self._b_ac[i] += value
 
@@ -353,7 +361,9 @@ class MnaSystem:
         Elements advertising a :meth:`Element.stamp_key` are assumed
         *constant* until a key change is observed; their combined stamp is
         frozen into base matrices so a steady-state rebind re-stamps only
-        the handful of elements a sizing actually varies.
+        the handful of elements a sizing actually varies.  The frozen keys
+        are taken at the current :func:`~repro.circuits.elements.linear_writes`
+        count, which :meth:`rebind_values` compares against.
         """
         self.netlist = netlist
         self.mosfets: tuple[Mosfet, ...] = tuple(
@@ -373,6 +383,7 @@ class MnaSystem:
             else:
                 self._const_elems.append(element)
                 self._const_keys.append(key)
+        self._keys_checked_at = elements.linear_writes()
         self._rebuild_base()
         self._refresh_values()
 
@@ -442,14 +453,25 @@ class MnaSystem:
         element whose :meth:`~Element.stamp_key` changed is demoted from
         the frozen base to the per-rebind stamp list (one-time cost).
 
-        One list comparison of all frozen keys covers the steady state;
-        the per-element scan runs only when it fails.  (The comparison
-        takes an identical key object as equal; element constructors
-        reject the NaN values where that differs from ``!=``.)"""
-        if (self._const_elems and [e.stamp_key() for e in self._const_elems]
+        Element values are assigned, never mutated in place, so a frozen
+        key can change only through an assignment to a linear element,
+        and every such assignment advances
+        :func:`~repro.circuits.elements.linear_writes`.  The frozen keys
+        are therefore compared only when that count has moved since they
+        were frozen or last compared: a restamp whose updater writes only
+        MOSFET sizes (the power-grid mesh's) never touches the frozen
+        list.  When it has moved, one list comparison of all frozen keys
+        covers the common case and the per-element scan runs only when
+        it fails.  (The comparison takes an identical key object as
+        equal; element constructors reject the NaN values where that
+        differs from ``!=``.)"""
+        writes = elements.linear_writes()
+        if writes != self._keys_checked_at and (
+                [e.stamp_key() for e in self._const_elems]
                 != self._const_keys):
             self._demote([e.stamp_key() != key for e, key
                           in zip(self._const_elems, self._const_keys)])
+        self._keys_checked_at = writes
         self._refresh_values()
         return self
 
@@ -482,6 +504,8 @@ class MnaSystem:
         return self._dense(self._C)
 
     def _dense(self, values: np.ndarray) -> np.ndarray:
+        """``values`` itself on the dense leg; on the sparse legs a
+        read-only dense copy of the pattern data ``values``."""
         if not self.sparse:
             return values
         out = self.sparse_state.densify(values)

@@ -19,12 +19,16 @@ import pkgutil
 import repro
 
 #: Modules under the strict everything-documented rule (the least-obvious
-#: hot modules: the device model, the DC continuation ladder and the
-#: batched Newton loop with their bitwise contracts, the column-wise
-#: stack fill, process plumbing, the sparse backend, and the measurement
-#: pipeline every topology's specs now flow through).
+#: hot modules: the netlist elements and container with the frozen-stamp
+#: and DC-edge contracts, the device model, MNA assembly, the DC
+#: continuation ladder and the batched Newton loop with their bitwise
+#: contracts, the column-wise stack fill, process plumbing, the sparse
+#: backend, and the measurement pipeline every topology's specs now flow
+#: through).
 STRICT_MODULES = (
+    "repro.circuits.elements",
     "repro.circuits.mosfet",
+    "repro.circuits.netlist",
     "repro.sim.batch",
     "repro.sim.condense",
     "repro.sim.dc",
@@ -32,6 +36,7 @@ STRICT_MODULES = (
     "repro.sim.parallel",
     "repro.sim.sparse",
     "repro.sim.stamp",
+    "repro.sim.system",
     "repro.rl.parallel",
     "repro.rl.nn",
     "repro.rl.distributions",
