@@ -2,8 +2,9 @@
 
 Times :mod:`repro.sim.condense` on the
 :class:`~repro.topologies.power_grid.PowerGridOta` scenario family, on the
-leg ``auto`` picks for each mesh (the iterative leg: the sparse leg plus
-condensed DC Newton).  Four rows per mesh:
+leg ``auto`` picks for each mesh (the sparse leg, which condenses the
+mesh out of the measured AC sweep and of the gmin-0 DC Newton steps).
+Four rows per mesh:
 
 * ``reduce`` — the one-time AC reduction: the port admittances over the
   topology's AC grid, one ``splu`` of the interior per frequency point;
@@ -14,15 +15,16 @@ condensed DC Newton).  Four rows per mesh:
   DC Newton and the AC sweep condensed onto the mesh boundary;
 * ``full eval`` — the median of the same walk with the condensation
   switched off: every Newton step and every AC frequency point factors
-  the whole system with ``splu``, as on the sparse leg.
+  the whole system with ``splu``.
 
 Run directly (one BLAS thread, as perfbench runs, keeps timings
 comparable)::
 
     OPENBLAS_NUM_THREADS=1 python benchmarks/bench_condensation.py
 
-Default scale runs the 71x71 (5,058 unknowns) and 122x122 (14,901) meshes;
-``AUTOCKT_FULL=1`` adds 223x223 (49,746).  Results go to
+Default scale runs the 30x30 (917 unknowns), 45x45 (2,042), 71x71
+(5,058) and 122x122 (14,901) meshes; ``AUTOCKT_FULL=1`` adds 223x223
+(49,746).  Results go to
 ``benchmarks/results/condensation.txt`` (narrative) and the
 ``condensation`` section of ``BENCH_simulator.json`` (record).
 """
@@ -106,7 +108,7 @@ def main() -> None:
     #: (grid_n, condensed evals, full evals): the full path re-factors
     #: the whole mesh per Newton step and per frequency point, so it gets
     #: few evaluations.
-    configs = [(71, 20, 3), (122, 20, 2)]
+    configs = [(30, 20, 5), (45, 20, 4), (71, 20, 3), (122, 20, 2)]
     if FULL_SCALE:
         configs.append((223, 10, 1))
     record = {"configs": [_bench(*config, rng) for config in configs]}

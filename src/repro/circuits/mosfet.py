@@ -215,7 +215,6 @@ class Mosfet(Element):
         self.l = float(l)
         self.m = float(m)
         self._sign = 1.0 if polarity == "nmos" else -1.0
-        self._last_state: MosfetState | None = None
 
     # -- terminal helpers --------------------------------------------------
     @property
@@ -295,36 +294,12 @@ class Mosfet(Element):
         vgs, vds, vsb = self.terminal_voltages(v)
         cc = channel_current(self.params, self.w, self.l, self.m, vgs, vds, vsb)
         cgs, cgd, cdb, csb = self.capacitances(cc.saturation)
-        state = MosfetState(
+        return MosfetState(
             ids=cc.ids, gm=max(cc.d_vgs, 0.0), gds=max(cc.d_vds, 0.0),
             gmb=abs(cc.d_vsb), vgs=vgs, vds=vds, vsb=vsb,
             vov_eff=cc.vov_eff, saturation=cc.saturation,
             cgs=cgs, cgd=cgd, cdb=cdb, csb=csb,
         )
-        self._last_state = state
-        return state
-
-    def stamp_small_signal(self, stamper, state: MosfetState) -> None:
-        """Stamp the linearised device (gm, gds, gmb and capacitances)."""
-        d, g = stamper.node(self.d), stamper.node(self.g)
-        s, b = stamper.node(self.s), stamper.node(self.b)
-        gm, gds, gmb = state.gm, state.gds, state.gmb
-        # Drain current i_d = gm*vgs + gds*vds + gmb*vbs (polarity handled by
-        # the sign trick: entries below are already polarity-independent).
-        stamper.add_g(d, g, gm)
-        stamper.add_g(d, s, -gm - gds - gmb)
-        stamper.add_g(d, d, gds)
-        stamper.add_g(d, b, gmb)
-        stamper.add_g(s, g, -gm)
-        stamper.add_g(s, s, gm + gds + gmb)
-        stamper.add_g(s, d, -gds)
-        stamper.add_g(s, b, -gmb)
-        for (i, j, c) in ((g, s, state.cgs), (g, d, state.cgd),
-                          (d, b, state.cdb), (s, b, state.csb)):
-            stamper.add_c(i, i, c)
-            stamper.add_c(j, j, c)
-            stamper.add_c(i, j, -c)
-            stamper.add_c(j, i, -c)
 
     # -- array evaluation ---------------------------------------------------
     # The vectorised path lives in DeviceArrays / channel_current_batch

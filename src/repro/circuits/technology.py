@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import math
 
 from repro.units import EPSILON_0, EPSILON_SIO2, ROOM_TEMPERATURE
 
@@ -218,12 +217,3 @@ def finfet16() -> Technology:
 #: All corners swept by the PEX/PVT flow, matching a standard signoff set.
 SIGNOFF_CORNERS = (Corner.TT, Corner.FF, Corner.SS, Corner.FS, Corner.SF)
 
-
-def corner_temperatures() -> tuple[float, ...]:
-    """Standard signoff temperatures [K]: -40 C, 27 C, 125 C."""
-    return (233.15, ROOM_TEMPERATURE, 398.15)
-
-
-def math_isclose(a: float, b: float, rel: float = 1e-9) -> bool:
-    """Tiny helper kept here to avoid importing math at call sites in tests."""
-    return math.isclose(a, b, rel_tol=rel)

@@ -351,7 +351,7 @@ def cmd_experiments(_args: argparse.Namespace) -> int:
 
 #: Runtime knobs surfaced by ``repro knobs`` (reference: docs/knobs.md).
 KNOBS = [
-    ("REPRO_ENGINE", "auto|dense|sparse|iterative", "auto",
+    ("REPRO_ENGINE", "auto|dense|sparse", "auto",
      "linear-algebra backend (auto: picked by MNA unknown count)"),
     ("REPRO_ZOO_DIR", "dir[:dir...]", "",
      "user scenario-zoo directories (repro zoo; YAML/JSON declarations)"),

@@ -168,7 +168,7 @@ class MonteCarloAnalysis:
                 system = plan.restamp_netlist(netlist)
                 if stack is None:
                     stack = SystemStack(system, chunk)
-                stack.set_design(i, system, values=values)
+                stack.set_design(i, system)
             result = solve_dc_batch(stack)
             stacked = self.topology.measure_batch(stack, result)
             batch: list[dict[str, float] | None] = []

@@ -24,16 +24,15 @@ batched solves):
   evaluation (per-batch :class:`~repro.sim.faults.BatchReport`,
   quarantine counters);
 * :mod:`repro.sim.engine` selects the linear-algebra backend per system
-  (``REPRO_ENGINE=auto|dense|sparse|iterative``, double-thresholded in
-  ``auto`` by unknown count);
+  (``REPRO_ENGINE=auto|dense|sparse``, thresholded in ``auto`` by
+  unknown count);
 * :mod:`repro.sim.sparse` is the SuperLU backend for large netlists:
   one structure-cached CSC master pattern per system, in-place ``.data``
   refresh per sizing, cached ``splu`` factorisations for DC Newton, AC
   sweeps, the noise adjoint and transient steps;
 * :mod:`repro.sim.condense` eliminates the sizing-invariant R/C
-  interior of mesh-scale netlists exactly: out of every measured AC
-  sweep on both sparse legs, and out of the gmin-0 DC Newton steps of
-  the iterative leg (the sparse leg plus that condensed step);
+  interior of mesh-scale netlists exactly, out of every measured AC
+  sweep and every gmin-0 DC Newton step of the sparse leg;
 * :mod:`repro.sim.noise` computes output/input-referred noise spectra;
 * :mod:`repro.sim.poles` extracts natural frequencies (pole analysis);
 * :mod:`repro.sim.sweep` steps a source for VTC/output-swing analysis;
@@ -46,10 +45,8 @@ from repro.sim.batch import BatchDcResult, SystemStack, solve_dc_batch
 from repro.sim.cache import SimulationCache, SimulationCounter
 from repro.sim.dc import OperatingPoint, solve_dc
 from repro.sim.engine import (
-    ITERATIVE_AUTO_THRESHOLD,
     SPARSE_AUTO_THRESHOLD,
     engine_mode,
-    iterative_threshold,
     resolve_engine,
     sparse_threshold,
 )
@@ -72,10 +69,8 @@ __all__ = [
     "BatchTransientResult",
     "DcSweepResult",
     "MnaSystem",
-    "ITERATIVE_AUTO_THRESHOLD",
     "SPARSE_AUTO_THRESHOLD",
     "engine_mode",
-    "iterative_threshold",
     "resolve_engine",
     "sparse_threshold",
     "NoiseResult",

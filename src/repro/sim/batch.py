@@ -33,7 +33,7 @@ snapshot.  What a slice means is the caller's business:
 
 All three ride the same ``(B·K, n, n)`` damped-Newton solve and the same
 stacked measurement layer.  Per-slice metadata captured when a slice is
-filled — simulation temperature, the sizing ``values`` dict, resistor
+filled — simulation temperature, resistor values and their
 thermal-noise constants — lets batched measurements (AC, step response,
 noise) run without ever re-binding the template system to an individual
 slice.
@@ -42,6 +42,7 @@ slice.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 
 import numpy as np
 
@@ -71,10 +72,10 @@ class SystemStack:
     over the corner axis (see the module docstring for the contract).
 
     Besides the ``G/C/b`` value arrays, each slice carries measurement
-    metadata: the slice's simulation temperature, an optional sizing
-    ``values`` dict, and the thermal-noise PSD constant ``4 k T / R`` of
-    every resistor — everything the batched measurement layer needs
-    that is not derivable from the matrices alone.
+    metadata: the slice's simulation temperature, and the resistance and
+    thermal-noise PSD constant ``4 k T / R`` of every resistor —
+    everything the batched measurement layer needs that is not derivable
+    from the matrices alone.
 
     The device constants live in one preallocated ``(13, B, K)``
     :class:`~repro.circuits.mosfet.DeviceArrays` bank, :attr:`dev` (None
@@ -115,7 +116,6 @@ class SystemStack:
         self.b_dc = np.empty((n_designs, n))
         self.b_ac = np.empty((n_designs, n), dtype=complex)
         self.temperatures = np.empty(n_designs)
-        self.values: list[dict | None] = [None] * n_designs
         K = len(template._terms_pad)
         self.dev = DeviceArrays.empty(n_designs, K) if K else None
         # Structure-fixed resistor noise topology: (R, 2) node-index pairs
@@ -130,12 +130,10 @@ class SystemStack:
         #: Per-slice resistance of every resistor (same column order as
         #: ``noise_res_names``); the measurement pipeline reads element
         #: values (e.g. the TIA's feedback resistor for noise referral)
-        #: from here instead of re-binding netlists or requiring the
-        #: per-slice ``values`` dicts.
+        #: from here instead of re-binding netlists.
         self.noise_res_r = np.empty((n_designs, len(names)))
 
-    def set_design(self, i: int, system: MnaSystem,
-                   values: dict[str, float] | None = None) -> None:
+    def set_design(self, i: int, system: MnaSystem) -> None:
         """Snapshot ``system``'s current values as slice ``i``; raises
         :class:`~repro.sim.system.StructureMismatch` when a sparse stack's
         slice does not share the template's master pattern."""
@@ -158,7 +156,6 @@ class SystemStack:
         self.b_dc[i] = system.b_dc
         self.b_ac[i] = system.b_ac
         self.temperatures[i] = system.temperature
-        self.values[i] = values
         names = system.resistor_names
         if names is self.noise_res_names or names == self.noise_res_names:
             self.noise_res_r[i] = system.resistor_values
@@ -276,8 +273,8 @@ def _newton_batch(stack: SystemStack, X: np.ndarray, idx: np.ndarray,
     ``F``'s ``ids @ _res_map`` product runs over exactly the owing rows,
     so every decision is the one a separate residual pass would make.
     Converged, stagnant designs then leave before assembly and solve;
-    :func:`_residual_batch` runs only for tests still owed after the last
-    iteration and for the final residual of designs that never converge.
+    :func:`_residual_batch` runs only for the final residual of designs
+    that never converge.
 
     Like the scalar driver, designs that pass the residual gate stay in
     the batch for up to ``dc._POLISH_ITERS`` extra polish rounds (skipped
@@ -286,7 +283,9 @@ def _newton_batch(stack: SystemStack, X: np.ndarray, idx: np.ndarray,
     from the sizing trajectory, from the canonical grid-centre operating
     point and from zeros agree to <= 1e-9 in the measured specs.  A
     polish round can only tighten an already-converged design, never
-    un-converge it.
+    un-converge it.  ``dc._MAX_ITER`` bounds the converging iterations
+    only: a test owed after the last of them, and the polish rounds it
+    earns, run after it.
     """
     max_iter, vtol, itol = dc._MAX_ITER, dc._VTOL, dc._ITOL
     damping = dc._DAMPING
@@ -313,7 +312,7 @@ def _newton_batch(stack: SystemStack, X: np.ndarray, idx: np.ndarray,
     dev_act = stack.dev.take(idx) if has_dev else None
     G_act = stack.G[idx]
     b_act = stack.b_dc[idx]
-    for it in range(1, max_iter + 1):
+    for it in itertools.count(1):
         a = len(active)
         if a == 0:
             break
@@ -335,25 +334,30 @@ def _newton_batch(stack: SystemStack, X: np.ndarray, idx: np.ndarray,
             owed[sub] = False
             fnorm[sub] = fn
             good = fn < itol
+            leave = loc[:0]
             if good.any():
                 converged[sub[good]] = True
                 stag = ((owed_step[sub[good]] < dc._POLISH_STAG)
                         if dc._POLISH_ITERS > 0
                         else np.ones(int(good.sum()), dtype=bool))
                 polish[sub[good][~stag]] = dc._POLISH_ITERS
-                if stag.any():
-                    # Converged at the floor: leave before assembly.
-                    keep = np.ones(a, dtype=bool)
-                    keep[loc[good][stag]] = False
-                    active = active[keep]
-                    a = len(active)
-                    if a == 0:
-                        break
-                    rows, Xa = idx[active], Xa[keep]
-                    G_act, b_act = G_act[keep], b_act[keep]
-                    if has_dev:
-                        dev_act = dev_act.take(keep)
-                        V, i_d, g = V[keep], i_d[keep], g[keep]
+                # Converged at the floor: leave before assembly.
+                leave = loc[good][stag]
+            if it > max_iter:
+                # Past the cap a failed test ends the row too.
+                leave = np.concatenate((leave, loc[~good]))
+            if len(leave):
+                keep = np.ones(a, dtype=bool)
+                keep[leave] = False
+                active = active[keep]
+                a = len(active)
+                if a == 0:
+                    break
+                rows, Xa = idx[active], Xa[keep]
+                G_act, b_act = G_act[keep], b_act[keep]
+                if has_dev:
+                    dev_act = dev_act.take(keep)
+                    V, i_d, g = V[keep], i_d[keep], g[keep]
         A = A_buf[:a]
         # The core is overwritten below; only the padding strips (which
         # accumulate ground-terminal scatter adds) need re-zeroing.
@@ -406,6 +410,9 @@ def _newton_batch(stack: SystemStack, X: np.ndarray, idx: np.ndarray,
         if check.any():
             owed[active[check]] = True
             owed_step[active[check]] = step[check]
+        if it >= max_iter:
+            # Past the cap only owed tests and polish rounds run.
+            drop |= ~(check | polishing)
         if drop.any():
             active = active[~drop]
             shrunk = True
@@ -415,13 +422,6 @@ def _newton_batch(stack: SystemStack, X: np.ndarray, idx: np.ndarray,
             b_act = stack.b_dc[idx[active]]
             if has_dev:
                 dev_act = stack.dev.take(idx[active])
-    # Tests still owed after the last iteration.
-    due = np.nonzero(owed)[0]
-    if len(due):
-        F = _residual_batch(stack, X, idx[due], source_scale, gmin)
-        fn = np.abs(F).max(axis=1)
-        fnorm[due] = fn
-        converged[due[fn < itol]] = True
     # Final residuals for non-converged, non-dead designs.
     left = ~converged & ~dead
     if left.any():

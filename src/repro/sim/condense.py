@@ -25,7 +25,7 @@ approximate model-order reduction:
   unknowns per frequency, one batched ``numpy.linalg.solve`` for the
   whole grid.
 
-DC Newton on the iterative leg condenses the same interior
+DC Newton condenses the same interior
 (:meth:`Condensation.newton_operator`).  At ``gmin == 0`` the Jacobian's
 interior block is the frozen ``G_II``: device stamps land on boundary
 rows only.  So ``G_II`` is factored once per structure, next to
@@ -34,8 +34,7 @@ the dense boundary matrix ``A_BB - Y0`` and solves in delta form from
 the Newton iterate, ``x = x0 + K^-1 (rhs - A x0)``, refined against the
 full CSC operator until the backward error reaches the rounding plateau
 of a direct solve (:data:`PLATEAU_TOL`).  gmin rungs, and every step the
-condensation declines, factor the full CSC Jacobian with ``splu`` as the
-sparse-direct leg does.
+condensation declines, factor the full CSC Jacobian with ``splu``.
 
 The reduction is exact only for slices whose interior equals the one it
 was built from.  A stack can hold slices snapshotted from several
@@ -43,9 +42,8 @@ systems (the corner-stacked PEX path fills one stack from several
 plans), so :func:`condensed_response` and the Newton operator compare
 each slice's interior-coupled master-pattern data with the snapshot and
 leave any other slice to the full path.  Interior-node responses, noise
-(interior resistors are noise sources), the step-response integrator,
-:func:`repro.sim.ac.ac_sweep` and the sparse-direct leg's DC Newton
-stay on the full system.
+(interior resistors are noise sources), the step-response integrator
+and :func:`repro.sim.ac.ac_sweep` stay on the full system.
 """
 
 from __future__ import annotations
@@ -263,7 +261,7 @@ class Condensation:
 
 
 class CondensedNewton:
-    """One Newton step of the iterative leg through a
+    """One sparse-leg Newton step through a
     :class:`Condensation`: the operator and factor consumed by the
     ``newton_factor`` seam of :func:`repro.sim.dc._lu_factor`."""
 

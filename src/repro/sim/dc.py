@@ -79,16 +79,16 @@ def _lu_factor(A):
     """LU-factor ``A`` (overwritten); None when singular.
 
     Accepts a dense array (LAPACK getrf), a scipy CSC matrix from the
-    sparse legs (:func:`scipy.sparse.linalg.splu`), or the iterative
-    leg's condensed step, a :class:`~repro.sim.condense.CondensedNewton`
+    sparse leg (:func:`scipy.sparse.linalg.splu`), or the sparse leg's
+    condensed step, a :class:`~repro.sim.condense.CondensedNewton`
     (duck-typed via its ``newton_factor`` attribute).  The Newton driver
     never needs to know which backend assembled its Jacobian.
     """
     newton_factor = getattr(A, "newton_factor", None)
-    if newton_factor is not None:      # condensed step (iterative leg)
+    if newton_factor is not None:      # condensed step
         factor = newton_factor()
         return ("condensed", factor) if factor is not None else None
-    if not isinstance(A, np.ndarray):  # sparse legs: CSC + SuperLU
+    if not isinstance(A, np.ndarray):  # sparse leg: CSC + SuperLU
         try:
             return ("sparse", splu(A))
         except RuntimeError:
@@ -206,7 +206,9 @@ def _newton(system: MnaSystem, x0: np.ndarray, gmin: float,
     of the circuit alone: solves seeded from the sizing trajectory, from
     the canonical grid-centre operating point and from zeros return the
     same specs to <= 1e-9.  Polish can only tighten an already-converged
-    iterate; it never un-converges one.
+    iterate; it never un-converges one.  :data:`_MAX_ITER` bounds the
+    converging iterations only: an iterate that passes the gate on the
+    last of them is still polished.
 
     ``system`` is an :class:`MnaSystem` or a
     :class:`~repro.sim.sparse.SparseSlice`, which assembles through its
@@ -215,7 +217,9 @@ def _newton(system: MnaSystem, x0: np.ndarray, gmin: float,
     x = x0.copy()
     polish = -1          # -1: still converging; >= 0: polish steps left
     fnorm = np.inf
-    for iteration in range(1, _MAX_ITER + 1):
+    iteration = 0
+    while iteration < _MAX_ITER or polish >= 0:
+        iteration += 1
         A, rhs = system.newton_matrices(x, gmin=gmin, source_scale=source_scale)
         lu = _lu_factor(A)
         if lu is None:
@@ -242,8 +246,6 @@ def _newton(system: MnaSystem, x0: np.ndarray, gmin: float,
                 if _POLISH_ITERS <= 0 or step < _POLISH_STAG:
                     return x, iteration, fnorm, True
                 polish = _POLISH_ITERS
-    if polish >= 0:
-        return x, _MAX_ITER, fnorm, True
     f = system.residual(x, source_scale=source_scale)
     return x, _MAX_ITER, float(np.max(np.abs(f))), False
 

@@ -39,13 +39,6 @@ class NoiseResult:
         """Total output noise [V rms] over the (sub)band, trapezoid rule."""
         return _integrate_rms(self.frequencies, self.output_psd, f_low, f_high)
 
-    def integrated_input_rms(self, f_low: float | None = None,
-                             f_high: float | None = None) -> float:
-        """Total input-referred noise [V rms] over the (sub)band."""
-        if self.input_psd is None:
-            raise AnalysisError("noise analysis was run without an input reference")
-        return _integrate_rms(self.frequencies, self.input_psd, f_low, f_high)
-
 
 def _integrate_rms(freqs: np.ndarray, psd: np.ndarray,
                    f_low: float | None, f_high: float | None) -> float:

@@ -49,10 +49,6 @@ class PoleSet:
             raise AnalysisError("circuit has no finite poles")
         return complex(self.poles[np.argmin(np.abs(np.real(self.poles)))])
 
-    def frequencies_hz(self) -> np.ndarray:
-        """Pole magnitudes as ordinary frequencies [Hz]."""
-        return np.abs(self.poles) / (2.0 * np.pi)
-
     def dominant_frequency_hz(self) -> float:
         """|dominant pole| / 2 pi — the single-pole bandwidth estimate."""
         return float(abs(self.dominant) / (2.0 * np.pi))

@@ -359,8 +359,7 @@ def stack_sweep_factors(stack, rows: np.ndarray, g3: np.ndarray,
     block-diagonal ``splu`` per design — exactly the scalar AC path of
     :meth:`repro.sim.system.MnaSystem.sparse_sweep_lus`, applied slice by
     slice.  Callers memoise the returned factors so the forward sweep and
-    the noise adjoint of one measurement share them.  The iterative leg
-    factors its stacks the same way.
+    the noise adjoint of one measurement share them.
     """
     st = stack.template.sparse_state
     facts = []

@@ -146,7 +146,7 @@ class StampPlan:
             if into is None:
                 into = SystemStack(system, n_slices or len(values_list),
                                    n_corners=n_corners)
-            into.set_design(offset + i, system, values=values)
+            into.set_design(offset + i, system)
         return into
 
     def _stack_columns(self, values_list, n_corners: int
@@ -208,7 +208,6 @@ class StampPlan:
             _fill_linear(stack, system, netlist, slice(start, stop))
         scratch.checked_at = writes
         stack.temperatures.fill(system.temperature)
-        stack.values[:] = values_list
         if scratch.resistors:
             for k, resistor in enumerate(scratch.resistors):
                 stack.noise_res_r[:, k] = resistor.resistance

@@ -42,17 +42,15 @@ linear algebra (and dense scatter maps) is both simpler and faster than
 sparse there — but post-PEX mesh netlists and the RC-interconnect chain
 scenarios reach hundreds of unknowns, where both stop scaling.  Each
 system therefore carries an *engine* flag (:mod:`repro.sim.engine`,
-``REPRO_ENGINE=auto|dense|sparse|iterative``): sparse systems stamp the
+``REPRO_ENGINE=auto|dense|sparse``): sparse systems stamp the
 live values and the frozen base straight into ``.data`` vectors over the
 structure-cached CSC pattern of :class:`repro.sim.sparse.SparseState`
 (one fixed sparsity pattern per structure), factor their Newton/AC/
 transient operators on it and hold no ``(n, n)`` array (``G``/``C`` are
 densified on access, and the large dense scatter maps are lazy for the
-same reason).  The ``iterative`` leg is the sparse leg with one
-difference: its gmin-0 DC Newton steps solve through the system's
+same reason).  Their gmin-0 DC Newton steps solve through the system's
 condensation (:mod:`repro.sim.condense`) where that is exact; every
-other Newton step and every sweep factors with ``splu``, bitwise as on
-the sparse leg.
+other Newton step and every sweep factors with ``splu``.
 """
 
 from __future__ import annotations
@@ -208,14 +206,10 @@ class MnaSystem:
                                    self._mos_terms)
         self._build_scatter_maps()
 
-        #: Resolved engine leg: "dense", "sparse" or "iterative".
+        #: Resolved engine leg: "dense" or "sparse".
         self.engine = resolve_engine(self.size, engine)
-        #: True when assembly routes through the CSC master pattern
-        #: (both the sparse-direct and iterative legs).
-        self.sparse = self.engine != "dense"
-        #: True on the iterative leg, whose DC Newton steps condense the
-        #: interior where that is exact.
-        self.iterative = self.engine == "iterative"
+        #: True when assembly routes through the CSC master pattern.
+        self.sparse = self.engine == "sparse"
         self.sparse_state = (sparse_engine.SparseState(self, netlist)
                              if self.sparse else None)
 
@@ -575,11 +569,10 @@ class MnaSystem:
         are evaluated in one vectorised call and scatter-added through the
         precomputed maps — O(1) Python calls regardless of device count.
 
-        Sparse systems return ``A`` as a CSC matrix over the structure's
-        master pattern instead of a dense array; iterative systems return
-        the condensed step of
+        Sparse systems return the condensed step of
         :meth:`~repro.sim.condense.Condensation.newton_operator` where it
-        is exact and that CSC matrix otherwise.  The DC Newton driver's
+        is exact and otherwise ``A`` as a CSC matrix over the structure's
+        master pattern instead of a dense array.  The DC Newton driver's
         factorisation layer (:func:`repro.sim.dc._lu_factor`) handles
         every form transparently.
         """
@@ -637,11 +630,11 @@ class MnaSystem:
             data = values._sparse_G_data().copy()
         if gmin > 0.0:
             data[st.node_diag_pos] += gmin
-        cond = self.condensation if self.iterative else None
+        cond = self.condensation
         if cond is not None:
             # The condensed step where it is exact (it solves in delta
             # form from the current iterate); everything it declines is
-            # the sparse leg's CSC Jacobian, factored by splu.
+            # the CSC Jacobian, factored by splu.
             x0 = np.array(x[:self.size], dtype=float)
             op = cond.newton_operator(data, x0, gmin)
             if op is not None:

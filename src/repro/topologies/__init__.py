@@ -18,7 +18,8 @@ machinery their action spaces are built from.
   distributed RC interconnect, the large-netlist (sparse-engine)
   scenario family;
 * :mod:`repro.topologies.power_grid` — OTA array fed from a resistive
-  power mesh, the 10^4-unknown (iterative-engine) scenario family.
+  power mesh, the 10^4-unknown (condensed sparse-engine) scenario
+  family.
 
 Module classes are one of two ways to add a scenario: the declarative
 scenario zoo (:mod:`repro.zoo`) compiles YAML/JSON declarations —

@@ -1,5 +1,5 @@
 """OTA array fed from a resistive power-distribution mesh — the
-10^4-unknown scenario family behind the iterative engine leg.
+10^4-unknown scenario family behind the condensed sparse engine leg.
 
 :class:`~repro.topologies.ota_chain.OtaChain` made the sparse-direct
 engine earn its keep at a few hundred unknowns; this module builds the
@@ -12,9 +12,9 @@ power-integrity problem of digital/mixed-signal signoff:
   to ground — fed from the clean supply through tap resistors at the
   four corners.  The mesh is where the unknowns live, and no sizing
   touches it: :mod:`repro.sim.condense` eliminates it exactly once per
-  structure, so every measured AC sweep (and, on the iterative leg,
-  every gmin-0 DC Newton step) solves only the ~21 unknowns on its
-  boundary (amp terminals, taps, sources).
+  structure, so every measured AC sweep and every gmin-0 DC Newton step
+  solves only the ~21 unknowns on its boundary (amp terminals, taps,
+  sources).
 * ``n_amps`` identical 5T OTAs wired as unity-gain buffers, each drawing
   its supply from a mesh tap along the grid diagonal (source *and* well
   of the PMOS loads ride the local grid voltage, so IR drop and supply
@@ -26,11 +26,11 @@ power-integrity problem of digital/mixed-signal signoff:
 The MNA size is dominated by ``grid_n^2``: the default 16x16
 configuration lands at ~270 unknowns (sparse territory, like the full
 chain), while the benchmark family (``benchmarks/bench_condensation.py``)
-constructs 71/122/223-point grids for ~5k/15k/50k unknowns — past
-:data:`repro.sim.engine.ITERATIVE_AUTO_THRESHOLD`, where ``auto`` routes
-them to the iterative leg.  There the condensed steps carry the warm
-sizing loop, and gmin-continuation rungs factor the full Jacobian with
-``splu`` as on the sparse leg.
+constructs 30/45/71/122-point grids for ~0.9k/2k/5k/15k unknowns
+(223 points, ~50k, at paper scale).  ``auto`` routes every one of them
+to the sparse leg, where the condensed steps carry the warm sizing
+loop and gmin-continuation rungs factor the full Jacobian with
+``splu``.
 Zoo-registered variants
 (``power_grid_ota`` + sweeps) stay test-sized for the same reason the
 chain's do: every registered scenario runs through the golden and

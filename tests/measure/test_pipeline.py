@@ -200,10 +200,10 @@ def test_primitives_batch_rows_match_batch_of_one(name, engine, monkeypatch):
 
 @pytest.mark.parametrize("engine", ENGINES)
 def test_tia_stack_without_values_measures_stacked(engine, monkeypatch):
-    """The historical all-or-nothing hole: a stack whose slices carry no
-    sizing ``values`` dicts (the TIA referral used to require them) now
-    measures fully stacked — the feedback resistance comes from the
-    stack's captured element values."""
+    """The historical all-or-nothing hole: a stack filled slice by slice
+    from restamped systems, with no sizing dicts (the TIA referral used
+    to require them), measures fully stacked — the feedback resistance
+    comes from the stack's captured element values."""
     topology = _topology("tia", engine, monkeypatch)
     values_list = _sizings(topology)
     systems = [topology._plan.restamp(v) for v in values_list]
@@ -212,8 +212,7 @@ def test_tia_stack_without_values_measures_stacked(engine, monkeypatch):
         system = topology._plan.restamp(values)
         if stack is None:
             stack = SystemStack(system, len(values_list))
-        stack.set_design(i, system)           # deliberately no values=
-    assert all(v is None for v in stack.values)
+        stack.set_design(i, system)
     result = solve_dc_batch(stack, x0=topology._batch_warm_start(stack))
     batched = topology.measure_batch(stack, result)
     assert batched is not None

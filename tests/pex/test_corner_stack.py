@@ -148,10 +148,14 @@ class TestStackMetadata:
             stack = plan.stack([values] * B, into=stack, offset=k * B,
                                n_slices=B * K, n_corners=K)
         assert stack.n_corners == K
-        for k, corner in enumerate(pex.corners):
+        for k, (corner, plan) in enumerate(zip(pex.corners, pex._plans)):
+            netlist = plan.restamp(values).netlist
             for i in range(B):
-                assert stack.temperatures[k * B + i] == corner.temperature
-                assert stack.values[k * B + i] == values
+                row = k * B + i
+                assert stack.temperatures[row] == corner.temperature
+                for name in stack.noise_res_names:
+                    assert (stack.resistances(name, row)
+                            == netlist[name].resistance), name
 
     def test_tia_pex_uses_stacked_measurement(self):
         """The TIA's settling/noise chain must ride the stacked path under

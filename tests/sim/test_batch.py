@@ -7,7 +7,8 @@ import pytest
 
 from repro.circuits import Netlist, Resistor, VoltageSource
 from repro.sim import MnaSystem, StampPlan, dc
-from repro.sim.batch import BatchDcResult, SystemStack, solve_dc_batch
+from repro.sim.batch import (BatchDcResult, SystemStack, _newton_batch,
+                             solve_dc_batch)
 from repro.sim.dc import solve_dc
 from repro.sim.system import StructureMismatch
 from repro.topologies import (
@@ -158,6 +159,45 @@ class TestSparseRowsAreScalarSolves:
         assert compared > 0
 
 
+class TestIterationCap:
+    """``_MAX_ITER`` bounds the converging iterations only: a residual
+    test owed after the last of them, and the polish it earns, still run,
+    so lowering the cap to the iteration whose iterate passes the gate
+    leaves every row's endpoint alone."""
+
+    def test_test_owed_at_the_cap_is_polished(self, monkeypatch):
+        topo = TwoStageOpAmp()
+        plan = StampPlan(topo.build, temperature=topo.temperature,
+                         updater=topo.update_netlist, engine="dense")
+        space = topo.parameter_space
+        rng = np.random.default_rng(17)
+        centre = solve_dc(plan.restamp(space.values(space.center))).x
+        stack = plan.stack(space.values(np.stack([space.sample(rng)
+                                                  for _ in range(3)])))
+
+        def solve(row):
+            # One row per solve: every run assembles the same row subset.
+            X = np.tile(centre, (stack.n_designs, 1))
+            ok, it, fn = _newton_batch(stack, X, np.array([row]), 0.0, 1.0)
+            return X[row], ok[0], it[0], fn[0]
+
+        for row in range(stack.n_designs):
+            x_ref, ok, it_ref, fn_ref = solve(row)
+            assert ok
+            gate = it_ref                 # the smallest cap that converges
+            while True:
+                monkeypatch.setattr(dc, "_MAX_ITER", gate - 1)
+                if not solve(row)[1]:
+                    break
+                gate -= 1
+            assert gate < it_ref          # the polish ran after the gate
+            monkeypatch.setattr(dc, "_MAX_ITER", gate)
+            x, ok, it, fn = solve(row)
+            assert ok and (it, fn) == (it_ref, fn_ref)
+            assert np.array_equal(x, x_ref)
+            monkeypatch.undo()
+
+
 def _drifting_ladder(values):
     """Same-size netlists whose ``R2`` moves from ``b-0`` to ``b-c`` when
     ``values["drift"]`` is set: a structure change mid-batch."""
@@ -181,7 +221,7 @@ class TestStructureDrift:
         fresh = MnaSystem(_drifting_ladder(self.DESIGNS[1]), engine="dense")
         np.testing.assert_array_equal(stack.G[1], fresh.G)
 
-    @pytest.mark.parametrize("engine", ["sparse", "iterative"])
+    @pytest.mark.parametrize("engine", ["sparse"])
     def test_sparse_stack_rejects_a_drifted_pattern(self, engine):
         """The drifted slice's ``b-c`` coupling has no position in the
         template's pattern; snapshotting it there would drop 5e-4 S."""

@@ -30,7 +30,7 @@ def per_slice_stack(plan: StampPlan, values_list) -> SystemStack:
         system = plan.restamp(values)
         if stack is None:
             stack = SystemStack(system, len(values_list))
-        stack.set_design(i, system, values=values)
+        stack.set_design(i, system)
     return stack
 
 
@@ -44,8 +44,6 @@ def assert_same_stack(got: SystemStack, ref: SystemStack) -> None:
     assert (got.dev is None) == (ref.dev is None)
     if ref.dev is not None:
         assert np.array_equal(got.dev.data, ref.dev.data)
-    assert all(a is b for a, b in zip(got.values, ref.values))
-    assert len(got.values) == len(ref.values)
 
 
 def partition(plan: StampPlan) -> tuple:

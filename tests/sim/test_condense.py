@@ -6,18 +6,18 @@ the dense one included.  The contract under test
 (:mod:`repro.sim.condense`):
 
 * condensed boundary responses equal the full sweep to <= 1e-9 on every
-  registered scenario with an interior, on the sparse and iterative legs;
+  registered scenario with an interior;
 * the partition keeps MOSFET terminals, branch rows, source nodes and
   variable elements on the boundary;
 * one reduction per (structure, grid), rebuilt after a demotion;
 * a slice whose interior data differ, an interior node and noise all
   stay on the full path;
-* on the iterative leg, gmin-0 DC Newton steps solve through the
-  condensation (one interior factor per structure) and agree with the
-  direct path to the leg's 1e-8 bar; gmin rungs and slices with other
-  interior data factor the full CSC Jacobian with ``splu``, bit for bit
-  as the sparse leg does, and a singular boundary system is a failed
-  factorisation.
+* gmin-0 DC Newton steps solve through the condensation (one interior
+  factor per structure), also on the systems ``auto`` routes sparse, and
+  agree with the declined, direct path to the 1e-8 bar; gmin rungs and
+  slices with other interior data factor the full CSC Jacobian with
+  ``splu``, bit for bit as a system without a condensation does, and a
+  singular boundary system is a failed factorisation.
 """
 
 from __future__ import annotations
@@ -40,8 +40,6 @@ from repro.sim.sparse import SparseSlice
 from repro.sim.stamp import StampPlan
 from repro.topologies import PowerGridOta
 from repro.zoo import registry
-
-LEGS = ("sparse", "iterative")
 
 
 def _center(topology) -> dict:
@@ -86,7 +84,7 @@ def test_registered_condensable_scenarios():
                 "ngm_ota"} & set(CONDENSABLE)
 
 
-@pytest.mark.parametrize("engine", LEGS)
+@pytest.mark.parametrize("engine", ["sparse"])
 @pytest.mark.parametrize("name", CONDENSABLE)
 def test_boundary_responses_match_full_path(name, engine):
     topology = registry()[name].create()
@@ -149,16 +147,15 @@ def _counting_splu(monkeypatch, module=condense_mod, name="_splu") -> list:
     return calls
 
 
-@pytest.mark.parametrize("engine", LEGS)
+@pytest.mark.parametrize("engine", ["sparse"])
 def test_one_reduction_per_structure_then_rebuild_on_demotion(
         engine, monkeypatch):
     calls = _counting_splu(monkeypatch)
     topology = PowerGridOta(grid_n=6, n_amps=2)
     plan = StampPlan(topology.build, updater=topology.update_netlist,
                      engine=engine)
-    # One splu per AC grid point, plus the DC interior factor on the
-    # iterative leg (the only leg whose Newton steps are condensed).
-    F = len(topology.AC_FREQUENCIES) + (engine == "iterative")
+    # One splu per AC grid point, plus the DC interior factor.
+    F = len(topology.AC_FREQUENCIES) + 1
     space = topology.parameter_space
     x = None
     for delta in range(4):
@@ -190,7 +187,7 @@ def test_one_reduction_per_structure_then_rebuild_on_demotion(
     assert specs["gain"] == pytest.approx(abs(ref[0]), rel=1e-9)
 
 
-@pytest.mark.parametrize("engine", LEGS)
+@pytest.mark.parametrize("engine", ["sparse"])
 def test_slice_with_other_interior_takes_full_path(engine):
     topology = PowerGridOta(grid_n=5, n_amps=2)
     netlist = topology.build(_center(topology))
@@ -206,7 +203,7 @@ def test_slice_with_other_interior_takes_full_path(engine):
     assert np.abs(h[1] - h[0]).max() > 1e-12   # the slices really differ
 
 
-@pytest.mark.parametrize("engine", LEGS)
+@pytest.mark.parametrize("engine", ["sparse"])
 def test_interior_node_and_noise_stay_on_full_path(engine):
     topology = PowerGridOta(grid_n=5, n_amps=2)
     system = _system(topology, engine)
@@ -250,13 +247,40 @@ def test_master_pattern_is_read_only():
     assert np.array_equal(st.indptr, indptr)
 
 
-# -- condensed DC Newton (iterative leg) --------------------------------------
-def _walk(topology, x: np.ndarray, engine: str = "iterative",
-          steps: int = 4) -> tuple[list, list, list]:
-    """A one-step walk on ``engine`` warm-started from ``x``: operating
+# -- condensed DC Newton ------------------------------------------------------
+def _decline_condensed_steps(monkeypatch) -> None:
+    """Make every condensation decline its Newton steps, which sends
+    them to the full CSC Jacobian and ``splu``."""
+    monkeypatch.setattr(condense_mod.Condensation, "newton_operator",
+                        lambda self, data, x0, gmin: None)
+
+
+def _uncondensed(monkeypatch) -> None:
+    """Build no condensation at all (full AC and ``splu`` DC)."""
+    monkeypatch.setattr(MnaSystem, "condensation",
+                        property(lambda self: None))
+
+
+def test_auto_mesh_condenses_dc_newton(monkeypatch):
+    """``auto`` routes a 273-unknown mesh sparse, and its gmin-0 Newton
+    steps condense: the DC solve factors no full Jacobian."""
+    monkeypatch.delenv("REPRO_ENGINE", raising=False)
+    topology = PowerGridOta(grid_n=16, n_amps=4)
+    system = MnaSystem(topology.build(_center(topology)))
+    assert (system.size, system.engine) == (273, "sparse")
+    factors = _counting_splu(monkeypatch, dc, "splu")
+    x = solve_dc(system).x
+    assert not factors
+    A, _ = system.newton_matrices(x)
+    assert isinstance(A, CondensedNewton)
+
+
+def _walk(topology, x: np.ndarray, steps: int = 4
+          ) -> tuple[list, list, list]:
+    """A one-step sparse-leg walk warm-started from ``x``: operating
     points, specs and Newton iteration counts per step."""
     plan = StampPlan(topology.build, updater=topology.update_netlist,
-                     engine=engine)
+                     engine="sparse")
     space = topology.parameter_space
     point = np.asarray(space.center)
     xs, specs, iters = [], [], []
@@ -277,16 +301,9 @@ def test_condensed_walk_matches_direct_walk(monkeypatch):
     factors = _counting_splu(monkeypatch, dc, "splu")
     xs, specs, iters = _walk(topology, x)
     assert not factors                  # every Newton step condensed
-    sp_xs, sp_specs, sp_iters = _walk(topology, x, engine="sparse")
-    # With every condensed step declined, the iterative leg is the
-    # sparse leg, bit for bit.
-    monkeypatch.setattr(condense_mod.Condensation, "newton_operator",
-                        lambda self, data, x0, gmin: None)
-    del factors[:]
+    _decline_condensed_steps(monkeypatch)
     ref_xs, ref_specs, ref_iters = _walk(topology, x)
     assert factors                      # every step factored directly
-    assert ref_iters == sp_iters and ref_specs == sp_specs
-    assert all(np.array_equal(a, b) for a, b in zip(ref_xs, sp_xs))
     assert iters == ref_iters
     for got, ref in zip(xs, ref_xs):
         scale = max(1.0, float(np.abs(ref).max()))
@@ -299,7 +316,7 @@ def test_condensed_walk_matches_direct_walk(monkeypatch):
 def test_gmin_zero_steps_are_condensed_and_rungs_factor_directly(
         monkeypatch):
     topology = PowerGridOta(grid_n=6, n_amps=2)
-    system = _system(topology, "iterative")
+    system = _system(topology, "sparse")
     factors = _counting_splu(monkeypatch, dc, "splu")
     x = solve_dc(system).x
     assert not factors
@@ -307,15 +324,16 @@ def test_gmin_zero_steps_are_condensed_and_rungs_factor_directly(
     assert isinstance(A, CondensedNewton)
 
     A, _ = system.newton_matrices(x, gmin=1e-6)
-    assert A.format == "csc"            # the sparse leg's Jacobian
+    assert A.format == "csc"            # the full Jacobian
     got = dc._newton(system, x, 1e-6, 1.0)
     assert factors
+    _uncondensed(monkeypatch)
     ref = dc._newton(_system(topology, "sparse"), x, 1e-6, 1.0)
     assert np.array_equal(got[0], ref[0]) and got[1:] == ref[1:]
 
 
-def _iterative_stack(topology, netlists) -> tuple[list, SystemStack]:
-    systems = [_system(topology, "iterative", n) for n in netlists]
+def _sparse_stack(topology, netlists) -> tuple[list, SystemStack]:
+    systems = [_system(topology, "sparse", n) for n in netlists]
     stack = SystemStack(systems[0], len(systems))
     for i, system in enumerate(systems):
         stack.set_design(i, system)
@@ -326,7 +344,7 @@ def test_stack_batch_uses_the_template_factor(monkeypatch):
     topology = PowerGridOta(grid_n=5, n_amps=2)
     space = topology.parameter_space
     other = space.values(space.clip(np.asarray(space.center) + 3))
-    systems, stack = _iterative_stack(
+    systems, stack = _sparse_stack(
         topology, [topology.build(_center(topology)), topology.build(other)])
     calls = _counting_splu(monkeypatch)
     factors = _counting_splu(monkeypatch, dc, "splu")
@@ -342,13 +360,14 @@ def test_slice_with_other_interior_takes_direct_dc(monkeypatch):
     topology = PowerGridOta(grid_n=5, n_amps=2)
     netlist = topology.build(_center(topology))
     netlist["RV1_2"].resistance *= 2.0
-    _, stack = _iterative_stack(
+    _, stack = _sparse_stack(
         topology, [topology.build(_center(topology)), netlist])
     factors = _counting_splu(monkeypatch, dc, "splu")
     solve_dc(SparseSlice(stack, 0))
     assert not factors
     other = solve_dc(SparseSlice(stack, 1))
     assert factors
+    _uncondensed(monkeypatch)
     ref = solve_dc(_system(topology, "sparse", netlist))
     assert np.array_equal(other.x, ref.x)
     assert (other.iterations, other.residual_norm) == \
@@ -358,7 +377,7 @@ def test_slice_with_other_interior_takes_direct_dc(monkeypatch):
 def test_refinement_corrects_an_inexact_factor():
     """The condensed step refines on the full operator, so a slightly
     wrong port correction still lands where the exact one does."""
-    system = _system(PowerGridOta(grid_n=6, n_amps=2), "iterative")
+    system = _system(PowerGridOta(grid_n=6, n_amps=2), "sparse")
     x = solve_dc(system).x
     A, rhs = system.newton_matrices(x + 1e-3)
     exact = dc._lu_solve(dc._lu_factor(A), rhs)
@@ -374,7 +393,7 @@ def test_refinement_corrects_an_inexact_factor():
 
 
 def test_singular_boundary_system_is_a_failed_factorisation():
-    system = _system(PowerGridOta(grid_n=5, n_amps=2), "iterative")
+    system = _system(PowerGridOta(grid_n=5, n_amps=2), "sparse")
     cond = system.condensation
     A, _ = system.newton_matrices(np.zeros(system.size))
     data = A._data.copy()

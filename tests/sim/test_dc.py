@@ -5,7 +5,7 @@ import pytest
 
 from repro.circuits import Mosfet, Netlist, Resistor, VoltageSource, ptm45
 from repro.errors import ConvergenceError
-from repro.sim import MnaSystem, solve_dc
+from repro.sim import MnaSystem, dc, solve_dc
 
 
 class TestLinearSolves:
@@ -98,3 +98,27 @@ class TestOperatingPoint:
         states = op.mosfet_states
         states.clear()
         assert op.mosfet_state("M1") is not None
+
+
+class TestIterationCap:
+    """``_MAX_ITER`` bounds the converging iterations only: an iterate
+    that passes the residual gate on the last of them is still polished,
+    so lowering the cap to that iteration leaves the endpoint alone."""
+
+    def test_gate_on_the_last_iteration_is_polished(self, cs_amp_netlist,
+                                                    monkeypatch):
+        system = MnaSystem(cs_amp_netlist, engine="dense")
+        x0 = np.zeros(system.size)
+        x_ref, it_ref, fn_ref, ok = dc._newton(system, x0, 0.0, 1.0)
+        assert ok
+        gate = it_ref                     # the smallest cap that converges
+        while True:
+            monkeypatch.setattr(dc, "_MAX_ITER", gate - 1)
+            if not dc._newton(system, x0, 0.0, 1.0)[3]:
+                break
+            gate -= 1
+        assert gate < it_ref              # the polish ran after the gate
+        monkeypatch.setattr(dc, "_MAX_ITER", gate)
+        x, it, fn, ok = dc._newton(system, x0, 0.0, 1.0)
+        assert ok and (it, fn) == (it_ref, fn_ref)
+        assert np.array_equal(x, x_ref)

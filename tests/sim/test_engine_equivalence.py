@@ -1,4 +1,4 @@
-"""Three-way engine equivalence: dense vs sparse vs iterative.
+"""Engine equivalence: dense vs sparse, condensed vs direct DC Newton.
 
 The sparse backend (:mod:`repro.sim.sparse`) must be a pure
 linear-algebra substitution: same stamps, same Newton trajectory, same
@@ -6,13 +6,12 @@ physics.  This suite pins that across every analysis and every topology,
 at tolerances far below anything a measurement could amplify into spec
 drift (DC solutions agree to <= 1e-9, assembled operators bit-for-bit).
 
-The iterative leg (the sparse leg plus condensed DC Newton,
-:mod:`repro.sim.condense`) is held to a looser but still spec-proof bar
-— <= 1e-8 against the sparse leg on every registered scenario.  It is
-bitwise the sparse leg wherever it does not condense; a condensed Newton
-step solves the boundary system and refines to the rounding plateau,
-but its forward answer still differs from SuperLU's at the level the
-conditioning allows.
+The sparse leg's condensed DC Newton step (:mod:`repro.sim.condense`)
+is held to a looser but still spec-proof bar — <= 1e-8 against the
+declined step, which factors the full CSC Jacobian with ``splu``, on
+every registered scenario.  A condensed step solves the boundary system
+and refines to the rounding plateau, but its forward answer still
+differs from SuperLU's at the level the conditioning allows.
 
 The modal AC fast path is disabled for the strict comparisons — it is a
 *verified approximation* (residual-checked to 1e-7) on the dense side
@@ -31,9 +30,10 @@ from repro.circuits.mosfet import Mosfet
 from repro.pex.corners import signoff_corners
 from repro.pex.extraction import ExtractionRules, PexSimulator
 from repro.sim import MnaSystem, OperatingPoint, ac_sweep, noise_analysis, solve_dc
+from repro.sim.condense import Condensation
 from repro.sim.transient import step_waveform, transient_analysis
-from repro.topologies import (FiveTransistorOta, SchematicSimulator,
-                              TransimpedanceAmplifier)
+from repro.topologies import (FiveTransistorOta, PowerGridOta,
+                              SchematicSimulator, TransimpedanceAmplifier)
 from repro.zoo import registry
 
 #: Topology factories, enumerated from the scenario-zoo registry
@@ -49,6 +49,13 @@ def _center_netlist(name):
     topology = TOPOLOGIES[name]()
     values = topology.parameter_space.values(topology.parameter_space.center)
     return topology.build(values)
+
+
+def _decline_condensed_steps(monkeypatch) -> None:
+    """Make every condensation decline its Newton steps, which sends
+    them to the full CSC Jacobian and ``splu``."""
+    monkeypatch.setattr(Condensation, "newton_operator",
+                        lambda self, data, x0, gmin: None)
 
 
 def _engine_pair(name):
@@ -112,9 +119,22 @@ class TestScalarParity:
                                    atol=1e-9 * np.abs(hd).max())
 
 
+def _condensed_and_declined(system_of, monkeypatch):
+    """``(system, op)`` of the sparse leg's DC solve, condensed and with
+    every condensed step declined; ``system_of()`` builds a system."""
+    condensed = system_of()
+    op_c = solve_dc(condensed)
+    with monkeypatch.context() as m:
+        _decline_condensed_steps(m)
+        declined = system_of()
+        op_d = solve_dc(declined)
+    return (condensed, op_c), (declined, op_d)
+
+
 @pytest.mark.parametrize("name", sorted(TOPOLOGIES))
 class TestIterativeParity:
-    """Sparse-vs-iterative parity on every registered scenario.
+    """Condensed-vs-declined DC Newton parity on the sparse leg, on every
+    registered scenario (the condensed step was once a leg of its own).
 
     1e-8 absolute (scaled by the solution/response magnitude) is the
     acceptance bar: far below what any measurement turns into spec
@@ -122,28 +142,25 @@ class TestIterativeParity:
     condensed solve at condition 1e10 is not a SuperLU solve.
     """
 
-    def test_dc_operating_point(self, name):
-        sparse = MnaSystem(_center_netlist(name), engine="sparse")
-        iterative = MnaSystem(_center_netlist(name), engine="iterative")
-        assert iterative.iterative and not sparse.iterative
-        xs = solve_dc(sparse).x
-        xi = solve_dc(iterative).x
-        scale = max(1.0, float(np.abs(xs).max()))
-        np.testing.assert_allclose(xi, xs, rtol=0.0, atol=1e-8 * scale)
+    def test_dc_operating_point(self, name, monkeypatch):
+        (_, op_c), (_, op_d) = _condensed_and_declined(
+            lambda: MnaSystem(_center_netlist(name), engine="sparse"),
+            monkeypatch)
+        scale = max(1.0, float(np.abs(op_d.x).max()))
+        np.testing.assert_allclose(op_c.x, op_d.x, rtol=0.0,
+                                   atol=1e-8 * scale)
 
     def test_ac_sweep(self, name, monkeypatch):
-        """Same operating point -> the iterative leg's sweep agrees with
-        the sparse leg's block splu factors to <= 1e-8 of the peak."""
+        """The sweep at the condensed operating point agrees with the
+        sweep at the declined one to <= 1e-8 of the peak."""
         monkeypatch.setattr(ac_mod, "_MODAL_ENABLED", False)
-        sparse = MnaSystem(_center_netlist(name), engine="sparse")
-        iterative = MnaSystem(_center_netlist(name), engine="iterative")
-        ops = solve_dc(sparse)
-        opi = OperatingPoint(iterative, ops.x.copy(), ops.iterations,
-                             ops.residual_norm)
-        hs = ac_sweep(sparse, ops, FREQS).voltage("out")
-        hi = ac_sweep(iterative, opi, FREQS).voltage("out")
-        np.testing.assert_allclose(hi, hs, rtol=0.0,
-                                   atol=1e-8 * np.abs(hs).max())
+        (sys_c, op_c), (sys_d, op_d) = _condensed_and_declined(
+            lambda: MnaSystem(_center_netlist(name), engine="sparse"),
+            monkeypatch)
+        hd = ac_sweep(sys_d, op_d, FREQS).voltage("out")
+        hc = ac_sweep(sys_c, op_c, FREQS).voltage("out")
+        np.testing.assert_allclose(hc, hd, rtol=0.0,
+                                   atol=1e-8 * np.abs(hd).max())
 
 
 class TestAnalysisParity:
@@ -158,14 +175,18 @@ class TestAnalysisParity:
             nd.integrated_output_rms(), rel=1e-9)
 
     def test_noise_adjoint_iterative(self, monkeypatch):
-        """The iterative leg's noise adjoint (transposed solves through
-        its sweep factors) must match the sparse adjoint path."""
+        """The sparse noise adjoint of a mesh at the condensed operating
+        point matches the one at the declined step's."""
         monkeypatch.setattr(ac_mod, "_MODAL_ENABLED", False)
-        sparse = MnaSystem(_cs_amp(), engine="sparse")
-        iterative = MnaSystem(_cs_amp(), engine="iterative")
-        ns = noise_analysis(sparse, solve_dc(sparse), FREQS, "d")
-        ni = noise_analysis(iterative, solve_dc(iterative), FREQS, "d")
-        np.testing.assert_allclose(ni.output_psd, ns.output_psd, rtol=1e-8)
+        topology = PowerGridOta(grid_n=5, n_amps=2)
+        space = topology.parameter_space
+        netlist = topology.build(space.values(space.center))
+        (sys_c, op_c), (sys_d, op_d) = _condensed_and_declined(
+            lambda: MnaSystem(netlist, engine="sparse"), monkeypatch)
+        assert sys_c.condensation is not None
+        nd = noise_analysis(sys_d, op_d, FREQS, "out")
+        nc = noise_analysis(sys_c, op_c, FREQS, "out")
+        np.testing.assert_allclose(nc.output_psd, nd.output_psd, rtol=1e-8)
 
     def test_noise_adjoint_tia(self, monkeypatch):
         monkeypatch.setattr(ac_mod, "_MODAL_ENABLED", False)
@@ -233,14 +254,16 @@ def test_evaluate_batch_parity(name, monkeypatch):
 
     dense_specs, sim = run("dense")
     sparse_specs, _ = run("sparse")
-    iterative_specs, _ = run("iterative")
+    with monkeypatch.context() as m:
+        _decline_condensed_steps(m)
+        declined_specs, _ = run("sparse")
     for d, s in zip(dense_specs, sparse_specs):
         for spec in d:
             assert s[spec] == pytest.approx(d[spec], rel=1e-9, abs=1e-15), (
                 name, spec)
-    for s, i in zip(sparse_specs, iterative_specs):
-        for spec in s:
-            assert i[spec] == pytest.approx(s[spec], rel=1e-8, abs=1e-12), (
+    for d, s in zip(declined_specs, sparse_specs):
+        for spec in d:
+            assert s[spec] == pytest.approx(d[spec], rel=1e-8, abs=1e-12), (
                 name, spec)
 
 

@@ -114,7 +114,7 @@ def _walk_specs(engine: str, calls: list[int]) -> tuple[list, list]:
     return specs, per_step
 
 
-@pytest.mark.parametrize("engine", ["dense", "iterative"])
+@pytest.mark.parametrize("engine", ["dense", "sparse"])
 def test_mesh_walk_skips_the_frozen_scan(engine, monkeypatch):
     calls = _count_stamp_keys(monkeypatch)
     gated, per_step = _walk_specs(engine, calls)

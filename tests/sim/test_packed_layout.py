@@ -102,7 +102,8 @@ def reference_residual_batch(stack, X, idx, source_scale, gmin):
 
 def reference_newton_batch(stack, X, idx, gmin, source_scale):
     """The two-pass loop: a separate current-only residual pass at every
-    convergence test (Newton settings read from ``repro.sim.dc``)."""
+    convergence test (Newton settings read from ``repro.sim.dc``), with
+    polish rounds running past ``max_iter``."""
     max_iter, vtol, itol = dc._MAX_ITER, dc._VTOL, dc._ITOL
     damping = dc._DAMPING
     tpl = stack.template
@@ -122,7 +123,16 @@ def reference_newton_batch(stack, X, idx, gmin, source_scale):
     dev_act = stack.dev.take(idx) if stack.dev is not None else None
     G_act = stack.G[idx]
     b_act = stack.b_dc[idx]
-    for it in range(1, max_iter + 1):
+    it = 0
+    while True:
+        it += 1
+        if it > max_iter:
+            keep = polish[active] >= 0
+            if not keep.all():
+                active = active[keep]
+                G_act, b_act = G_act[keep], b_act[keep]
+                if dev_act is not None:
+                    dev_act = dev_act.take(keep)
         a = len(active)
         if a == 0:
             break

@@ -1,9 +1,9 @@
-"""Allocation guard of the sparse-assembly legs.
+"""Allocation guard of the sparse-assembly leg.
 
-The sparse and iterative legs stamp into master-pattern data and hold no
-``(n, n)`` array, which is what lets 15k- and 50k-unknown supply meshes
-fit in memory.  Each case pins its leg on the topology's plan, so the
-guard runs whatever ``REPRO_ENGINE`` says: a scalar and a 2-design batch
+The sparse leg stamps into master-pattern data and holds no ``(n, n)``
+array, which is what lets 15k- and 50k-unknown supply meshes fit in
+memory.  The case pins the leg on the topology's plan, so the guard
+runs whatever ``REPRO_ENGINE`` says: a scalar and a 2-design batch
 evaluation of a 1,617-unknown mesh, system construction included, must
 peak below the size of one dense ``(n, n)`` float64 array.
 """
@@ -20,7 +20,7 @@ pytest.importorskip("scipy")
 from repro.topologies import PowerGridOta, SchematicSimulator
 
 
-@pytest.mark.parametrize("engine", ["sparse", "iterative"])
+@pytest.mark.parametrize("engine", ["sparse"])
 def test_mesh_evaluation_allocates_no_dense_matrix(engine):
     topology = PowerGridOta(grid_n=40)
     topology._plan.engine = engine

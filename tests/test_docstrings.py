@@ -23,8 +23,8 @@ import repro
 #: and DC-edge contracts, the device model, MNA assembly, the DC
 #: continuation ladder and the batched Newton loop with their bitwise
 #: contracts, the column-wise stack fill, process plumbing, the sparse
-#: backend, and the measurement pipeline every topology's specs now flow
-#: through).
+#: backend and the engine selection that routes to it, and the
+#: measurement pipeline every topology's specs now flow through).
 STRICT_MODULES = (
     "repro.circuits.elements",
     "repro.circuits.mosfet",
@@ -32,6 +32,7 @@ STRICT_MODULES = (
     "repro.sim.batch",
     "repro.sim.condense",
     "repro.sim.dc",
+    "repro.sim.engine",
     "repro.sim.faults",
     "repro.sim.parallel",
     "repro.sim.sparse",

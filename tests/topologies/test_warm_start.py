@@ -22,21 +22,21 @@ def _rel_close(a, b, tol=1e-9):
     return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
 
 
-#: A one-step case that breaks the <= 1e-9 warm/cold contract, found by
-#: 300 random draws of ``test_one_step_delta`` (its 8 draws a run rarely
-#: hit it).  A fix would move the specs of every workload.
-_KNOWN_DEFECT = (
-    "FiveTransistorOta [92, 97, 64, 44] warm-started from [91, 97, 64, 44]: "
-    "dense warm gain 206.50798647 vs cold 206.50799482 (4.0e-8 relative), "
-    "ugbw 7.4e-8 apart; the sparse leg lands the same warm value and its "
-    "cold gain 206.50799342 is 3.4e-8 away.  Raising the Newton polish "
-    "rounds (_POLISH_ITERS) to 3 moves neither endpoint.")
-
-#: A second case of the same defect, drawn by ``test_one_step_delta``.
-_SECOND_DEFECT = (
-    "FiveTransistorOta [79, 81, 83, 43] warm-started from [78, 81, 83, 43]: "
-    "gain 1.8e-9 (dense) / 1.6e-9 (sparse) relative from cold, ugbw "
-    "3.5e-9 / 3.2e-9.")
+#: One-step cases that broke the <= 1e-9 warm/cold contract while the
+#: Newton drivers returned unpolished from a residual gate passed on the
+#: last iteration before the cap: each cold solve crawls ~112 iterations
+#: at the damping cap and passes the 1 nA gate exactly on iteration 120.
+#: The first two were found by 300 random draws of
+#: ``test_one_step_delta`` (its 8 draws a run rarely hit them), the third
+#: by a draw of a full suite run.
+_KNOWN_CASES = {
+    # cold |F| 3.2e-12 A; gain 4.0e-8 relative from warm, ugbw 7.4e-8.
+    "first": ([92, 97, 64, 44], [91, 97, 64, 44]),
+    # cold |F| 2.1e-13 A; gain 1.8e-9 relative, ugbw 3.5e-9.
+    "second": ([79, 81, 83, 43], [78, 81, 83, 43]),
+    # cold |F| 6.4e-10 A; gain 8.3e-6 relative, ugbw 1.6e-5.
+    "third": ([94, 27, 66, 47], [93, 27, 66, 47]),
+}
 
 
 class TestWarmColdEquivalence:
@@ -67,19 +67,21 @@ class TestWarmColdEquivalence:
                                  space.counts[axis] - 1)
         self._check_step(engine, idx, neighbor)
 
-    @pytest.mark.parametrize("engine", ["dense", "sparse"])
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason=_KNOWN_DEFECT)
-    def test_known_one_step_defect(self, engine):
-        self._check_step(engine, np.array([92, 97, 64, 44]),
-                         np.array([91, 97, 64, 44]))
+    def _check_known(self, engine, case):
+        idx, neighbor = _KNOWN_CASES[case]
+        self._check_step(engine, np.array(idx), np.array(neighbor))
 
     @pytest.mark.parametrize("engine", ["dense", "sparse"])
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason=_SECOND_DEFECT)
+    def test_known_one_step_defect(self, engine):
+        self._check_known(engine, "first")
+
+    @pytest.mark.parametrize("engine", ["dense", "sparse"])
     def test_second_known_one_step_defect(self, engine):
-        self._check_step(engine, np.array([79, 81, 83, 43]),
-                         np.array([78, 81, 83, 43]))
+        self._check_known(engine, "second")
+
+    @pytest.mark.parametrize("engine", ["dense", "sparse"])
+    def test_third_known_one_step_defect(self, engine):
+        self._check_known(engine, "third")
 
     def _check_step(self, engine, idx, neighbor):
         topology = self._topology(engine)
