@@ -36,6 +36,14 @@ whole stack through the topology's stacked measurement path, and reduce
 each spec worst-case over the corner axis — replacing the historical
 corner-by-corner loop (kept as :meth:`PexSimulator.evaluate_percorner`
 for equivalence testing and benchmarking).
+
+Newton seeds follow the schematic simulator's policy: a one-design
+:meth:`PexSimulator.evaluate` seeds each corner from that corner's
+previous operating point along the sizing trajectory (a deployment
+moves one grid step per evaluation), while
+:meth:`PexSimulator.evaluate_batch` seeds every row from its corner's
+canonical grid-centre operating point, so batch results do not depend
+on what was evaluated before.
 """
 
 from __future__ import annotations
@@ -189,6 +197,11 @@ class PexSimulator(CircuitSimulator):
     corners:
         PVT corners to sweep; every spec reports its worst-case value
         across them (paper §III-D).
+
+    :meth:`evaluate` solves each corner from that corner's previous
+    operating point (the trajectory state :meth:`reset_warm_start`
+    clears) and :meth:`evaluate_batch` from each corner's canonical
+    grid-centre operating point; see :meth:`_evaluate_fresh_batch`.
     """
 
     def __init__(self, topology_factory, corners: list[CornerSpec] | None = None,
@@ -200,8 +213,9 @@ class PexSimulator(CircuitSimulator):
         self._topologies: list[Topology] = [
             corner.apply(topology_factory) for corner in self.corners]
         # Each corner topology simulates its extracted netlist through an
-        # extracting plan, so its own simulate (warm start, cold retry)
-        # and centre seed serve the corner.  Extracted netlists keep their
+        # extracting plan, so its own simulate (warm start, cold retry),
+        # trajectory state (_warm_x, the seed of evaluate) and centre
+        # seed serve the corner.  Extracted netlists keep their
         # structure across sizings (the extractor adds the same parasitic
         # elements for every sizing), so each corner's MNA system is built
         # once and restamped per evaluation, through the in-place updater
@@ -242,32 +256,81 @@ class PexSimulator(CircuitSimulator):
 
     def _evaluate_fresh(self, indices: np.ndarray) -> dict[str, float]:
         """Worst-case specs of one clipped sizing across all corners (a
-        corner stack of one design)."""
+        corner stack of one design), each corner seeded from its own
+        trajectory (see :meth:`_evaluate_fresh_batch`)."""
         values = self.parameter_space.values(indices)
-        return self._evaluate_fresh_batch([values])[0]
+        return self._evaluate_fresh_batch([values], trajectory=True)[0]
 
-    def _evaluate_fresh_batch(self, values_list: list[dict[str, float]]
+    def _evaluate_fresh_batch(self, values_list: list[dict[str, float]],
+                              trajectory: bool = False
                               ) -> list[dict[str, float]]:
         """Corner-stacked evaluation of B sizings (see module docstring).
 
         All ``B * K`` (design, corner) systems solve in one batched
-        damped-Newton call, warm-started from each corner's canonical
-        grid-centre operating point; the reference topology's stacked
-        measurement runs over the whole stack (its spec extraction only
-        consumes stacked matrices, solutions and per-slice metadata, so
-        one call serves every corner), and the per-design result is the
-        worst spec value across that design's corner slices.
+        damped-Newton call, by default warm-started from each corner's
+        canonical grid-centre operating point; the reference topology's
+        stacked measurement runs over the whole stack (its spec
+        extraction only consumes stacked matrices, solutions and
+        per-slice metadata, so one call serves every corner), and the
+        per-design result is the worst spec value across that design's
+        corner slices.
+
+        With ``trajectory`` (the one-design path behind :meth:`evaluate`)
+        corner row k is seeded instead from corner topology k's
+        trajectory state, ``_warm_x``: the operating point of that
+        corner's last converged, non-gated evaluation, which
+        :meth:`reset_warm_start` clears.  A corner without one keeps its
+        canonical seed.  If a trajectory-seeded row fails the ladder, the
+        stack is solved again from the canonical seeds, as
+        :meth:`~repro.topologies.base.Topology.simulate` retries cold.
+        After measuring, each corner keeps its row's operating point, or
+        drops its state when the row failed or reported the penalty row
+        (a gated design, e.g. a latched ngm-OTA), so the next step of
+        that corner restarts from the canonical seed.  Without
+        ``trajectory`` the seeds are canonical and no state is touched.
         """
         B, K = len(values_list), len(self.corners)
         stack: SystemStack | None = None
         for k, plan in enumerate(self._plans):
             stack = plan.stack(values_list, into=stack, offset=k * B,
                                n_slices=B * K, n_corners=K)
-        result = solve_dc_batch(stack, x0=self._corner_warm_start(stack, B))
+        canonical = self._corner_warm_start(stack, B)
+        x0, seeded = (self._trajectory_seeds(canonical) if trajectory
+                      else (canonical, None))
+        result = solve_dc_batch(stack, x0=x0)
+        if seeded is not None and not result.converged[seeded].all():
+            result = solve_dc_batch(stack, x0=canonical)
         specs = self._topologies[0].measure_batch(stack, result)
         if specs is None:
             specs = self._measure_slices(values_list, result)
+        if trajectory:
+            self._keep_trajectory(specs, result)
         return self._reduce_worst_case(specs, B, K)
+
+    def _trajectory_seeds(self, canonical: np.ndarray
+                          ) -> tuple[np.ndarray, np.ndarray]:
+        """Seeds of a one-design corner stack: corner topology k's
+        ``_warm_x`` in row k where it has one of the stack's size, the
+        canonical seed elsewhere.  Returns the seeds and the mask of the
+        rows seeded from a trajectory."""
+        x0 = canonical.copy()
+        seeded = np.zeros(len(x0), dtype=bool)
+        for k, topology in enumerate(self._topologies):
+            warm = topology._warm_x
+            if warm is not None and warm.shape == x0[k].shape:
+                x0[k] = warm
+                seeded[k] = True
+        return x0, seeded
+
+    def _keep_trajectory(self, specs: list[dict[str, float]],
+                         result) -> None:
+        """Store row k's operating point as corner topology k's
+        trajectory state, or clear the state when the row did not
+        converge or reported the penalty row."""
+        failure = self.failure_measurements()
+        for k, topology in enumerate(self._topologies):
+            good = bool(result.converged[k]) and specs[k] != failure
+            topology._warm_x = result.x[k].copy() if good else None
 
     def _corner_warm_start(self, stack: SystemStack, B: int) -> np.ndarray:
         """Stacked Newton seed: each corner topology's canonical centre
@@ -360,8 +423,17 @@ class PexSimulator(CircuitSimulator):
         ``(B,)`` value columns of a column-wise
         :meth:`~repro.sim.stamp.StampPlan.stack`, which then restamps the
         corner's system design by design.
+
+        A parasitic whose value is unchanged is not assigned again: an
+        assignment advances :func:`~repro.circuits.elements.linear_writes`,
+        which makes the next restamp compare its frozen stamp keys, and
+        an equal value leaves the element's stamp as it was.
         """
         rules = self.extractor.rules
+
+        def assign(element, attr: str, value: float) -> None:
+            if getattr(element, attr) != value:
+                setattr(element, attr, value)
 
         def update(extracted: Netlist, values: dict[str, float]) -> bool:
             if any(isinstance(v, np.ndarray) for v in values.values()):
@@ -378,8 +450,10 @@ class PexSimulator(CircuitSimulator):
                             rules.r_access_ohm_m / (element.w * element.m),
                             rules.r_access_min)
                         name = element.name
-                        extracted[f"{PEX_PREFIX}R_{name}_d"].resistance = r_acc
-                        extracted[f"{PEX_PREFIX}R_{name}_s"].resistance = r_acc
+                        assign(extracted[f"{PEX_PREFIX}R_{name}_d"],
+                               "resistance", r_acc)
+                        assign(extracted[f"{PEX_PREFIX}R_{name}_s"],
+                               "resistance", r_acc)
                     elif element.name.startswith(cap_prefix):
                         n_caps += 1
                 pars = self._wire_parasitics(values)
@@ -390,12 +464,13 @@ class PexSimulator(CircuitSimulator):
                     if mesh > 0:
                         r_seg, c_seg = mesh_segment_values(r_net, c_net, mesh)
                         for k in range(1, mesh + 1):
-                            extracted[
-                                f"{PEX_PREFIX}RW_{net}__{k}"].resistance = r_seg
-                            extracted[
-                                f"{cap_prefix}{net}__{k}"].capacitance = c_seg
+                            assign(extracted[f"{PEX_PREFIX}RW_{net}__{k}"],
+                                   "resistance", r_seg)
+                            assign(extracted[f"{cap_prefix}{net}__{k}"],
+                                   "capacitance", c_seg)
                     else:
-                        extracted[f"{cap_prefix}{net}"].capacitance = c_net
+                        assign(extracted[f"{cap_prefix}{net}"],
+                               "capacitance", c_net)
             except KeyError:
                 return False
             return True

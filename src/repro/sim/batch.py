@@ -198,12 +198,17 @@ class SystemStack:
 
 @dataclasses.dataclass
 class BatchDcResult:
-    """Per-design outcome of a batched DC solve."""
+    """Per-design outcome of a batched DC solve.
+
+    On a converged row ``residual_norm`` is ‖F‖∞ at the row's
+    convergence test, an upper bound on the residual of the returned
+    (polished) ``x``, as :class:`~repro.sim.dc.OperatingPoint`'s is.
+    """
 
     x: np.ndarray               # (B, n) solution vectors
     converged: np.ndarray       # (B,) bool
     iterations: np.ndarray      # (B,) int — Newton iterations consumed
-    residual_norm: np.ndarray   # (B,) float — final |F| (inf-norm)
+    residual_norm: np.ndarray   # (B,) float — |F|∞ at the test (see above)
 
 
 def _kcl_residual(stack: SystemStack, G: np.ndarray, b: np.ndarray,

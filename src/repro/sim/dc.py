@@ -113,6 +113,13 @@ class OperatingPoint:
     (:meth:`MnaSystem.mosfet_state_arrays`); the per-device
     :class:`MosfetState` objects are materialised lazily since many
     measurement routines only consume the stacked arrays.
+
+    ``residual_norm`` is the KCL residual ‖F‖∞ [A] at the convergence
+    test, an upper bound on the returned point's residual: the polish
+    step after the test usually takes it orders of magnitude lower (the
+    cold solve of ``FiveTransistorOta`` ``[94, 27, 66, 47]`` reports
+    6.4e-10 A for an ``x`` whose residual is ~1e-19 A).  It is not
+    recomputed at ``x``, which would cost every solve a residual pass.
     """
 
     system: MnaSystem
@@ -190,6 +197,11 @@ class OperatingPoint:
 def _newton(system: MnaSystem, x0: np.ndarray, gmin: float,
             source_scale: float) -> tuple[np.ndarray, int, float, bool]:
     """Damped Newton iteration; returns (x, iterations, |F|, converged).
+
+    ``|F|`` is ‖F‖∞ at the convergence test, an upper bound on the
+    residual of the returned (polished) ``x``; a solve that does not
+    converge reports the residual of the returned ``x`` itself (inf when
+    its Jacobian went singular).
 
     Convergence is decided by the KCL residual (``|F| < _ITOL``);
     :data:`_VTOL` is the Newton-step size below which the residual test
@@ -275,7 +287,8 @@ def _ladder(stage, X: np.ndarray
     their seeds through the :data:`_GMIN_STEPS` chain (a row leaves the
     chain at its first non-converged rung), and whatever is left restarts
     from zero through :data:`_SOURCE_STEPS`.  Returns per-row
-    ``(converged, total iterations, final |F|)``.
+    ``(converged, total iterations, |F|)``, ``|F|`` as its last stage
+    reported it (see :func:`_newton`).
     """
     x_start = X.copy()
     rows = np.arange(len(X))

@@ -23,8 +23,9 @@ import repro
 #: and DC-edge contracts, the device model, MNA assembly, the DC
 #: continuation ladder and the batched Newton loop with their bitwise
 #: contracts, the column-wise stack fill, process plumbing, the sparse
-#: backend and the engine selection that routes to it, and the
-#: measurement pipeline every topology's specs now flow through).
+#: backend and the engine selection that routes to it, the
+#: measurement pipeline every topology's specs now flow through, and the
+#: PEX corner stack with its per-corner trajectory seeds).
 STRICT_MODULES = (
     "repro.circuits.elements",
     "repro.circuits.mosfet",
@@ -42,6 +43,7 @@ STRICT_MODULES = (
     "repro.rl.nn",
     "repro.rl.distributions",
     "repro.measure.pipeline",
+    "repro.pex.extraction",
     "repro.topologies.base",
     "repro.zoo.schema",
     "repro.zoo.loader",

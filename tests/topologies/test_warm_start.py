@@ -5,7 +5,8 @@ point.  The post-convergence polish of the Newton drivers makes the
 result a function of the circuit alone, so a trajectory-seeded solve
 must reproduce a cold solve of the same sizing to <= 1e-9 (this is the
 direct test of the polish), and ``reset_warm_start`` must drop the
-trajectory state so one episode never seeds the next.
+trajectory state so one episode never seeds the next.  The known
+warm/cold cases also pin what a solve's ``residual_norm`` bounds.
 """
 
 import numpy as np
@@ -15,6 +16,9 @@ from hypothesis import strategies as st
 
 from repro.core.env import SizingEnv
 from repro.pex.extraction import PexSimulator
+from repro.sim.batch import solve_dc_batch
+from repro.sim.dc import solve_dc
+from repro.sim.stamp import StampPlan
 from repro.topologies import FiveTransistorOta, SchematicSimulator
 
 
@@ -95,6 +99,31 @@ class TestWarmColdEquivalence:
         for name in cold:
             assert _rel_close(cold[name], warm[name]), (
                 f"{name}: cold {cold[name]!r} vs warm {warm[name]!r}")
+
+
+class TestResidualNormBound:
+    """``residual_norm`` is ‖F‖∞ at the convergence test, an upper bound
+    on the residual of the polished point a solve returns (the third
+    case reports 6.4e-10 A cold for an ``x`` near 1e-19 A)."""
+
+    @pytest.mark.parametrize("engine", ["dense", "sparse"])
+    @pytest.mark.parametrize("case", sorted(_KNOWN_CASES))
+    def test_bounds_the_returned_point(self, engine, case):
+        topology = FiveTransistorOta()
+        plan = StampPlan(topology.build, temperature=topology.temperature,
+                         updater=topology.update_netlist, engine=engine)
+        space = topology.parameter_space
+        idx, neighbor = (space.values(np.array(i)) for i in _KNOWN_CASES[case])
+        seed = solve_dc(plan.restamp(neighbor)).x
+        stack = plan.stack([idx, idx])
+        batch = solve_dc_batch(stack, x0=np.stack([np.zeros_like(seed), seed]))
+        assert batch.converged.all()
+        system = plan.restamp(idx)
+        for row, x0 in enumerate((None, seed)):
+            op = solve_dc(system, x0=x0)
+            for x, norm in ((op.x, op.residual_norm),
+                            (batch.x[row], batch.residual_norm[row])):
+                assert np.abs(system.residual(x)).max() <= norm
 
 
 class TestWarmStartReset:
