@@ -32,7 +32,9 @@ Values
 Element values are assigned, never mutated in place: an update replaces
 a float (or, during a column-wise stack fill, a ``(B,)`` array) with
 another.  Every attribute assignment on a linear element (``is_nonlinear``
-false) advances one process-wide counter, :func:`linear_writes`.
+false) advances one process-wide counter, :func:`linear_writes`, except
+one that replaces a float with an equal float, which leaves the stamp as
+it was (an array or a NaN always counts).
 :class:`~repro.sim.system.MnaSystem` freezes the stamps of the linear
 elements whose values do not vary and compares their stamp keys again
 only once the counter has moved, so assigning to a linear element
@@ -94,10 +96,14 @@ class Element:
         self.nodes = tuple(str(n) for n in nodes)
 
     def __setattr__(self, name: str, value) -> None:
-        """Assign, advancing :func:`linear_writes` on a linear element."""
+        """Assign, advancing :func:`linear_writes` on a linear element
+        unless a float replaces an equal float."""
         global _linear_writes
         if not self.is_nonlinear:
-            _linear_writes += 1
+            old = self.__dict__.get(name)
+            if not (isinstance(value, float) and isinstance(old, float)
+                    and value == old):
+                _linear_writes += 1
         object.__setattr__(self, name, value)
 
     def stamp(self, stamper) -> None:

@@ -424,16 +424,12 @@ class PexSimulator(CircuitSimulator):
         :meth:`~repro.sim.stamp.StampPlan.stack`, which then restamps the
         corner's system design by design.
 
-        A parasitic whose value is unchanged is not assigned again: an
-        assignment advances :func:`~repro.circuits.elements.linear_writes`,
-        which makes the next restamp compare its frozen stamp keys, and
-        an equal value leaves the element's stamp as it was.
+        A parasitic whose value is unchanged is assigned the equal float,
+        which leaves :func:`~repro.circuits.elements.linear_writes` where
+        it was, so the next restamp compares no frozen stamp keys on its
+        account.
         """
         rules = self.extractor.rules
-
-        def assign(element, attr: str, value: float) -> None:
-            if getattr(element, attr) != value:
-                setattr(element, attr, value)
 
         def update(extracted: Netlist, values: dict[str, float]) -> bool:
             if any(isinstance(v, np.ndarray) for v in values.values()):
@@ -449,11 +445,9 @@ class PexSimulator(CircuitSimulator):
                         r_acc = max(
                             rules.r_access_ohm_m / (element.w * element.m),
                             rules.r_access_min)
-                        name = element.name
-                        assign(extracted[f"{PEX_PREFIX}R_{name}_d"],
-                               "resistance", r_acc)
-                        assign(extracted[f"{PEX_PREFIX}R_{name}_s"],
-                               "resistance", r_acc)
+                        access = f"{PEX_PREFIX}R_{element.name}"
+                        extracted[f"{access}_d"].resistance = r_acc
+                        extracted[f"{access}_s"].resistance = r_acc
                     elif element.name.startswith(cap_prefix):
                         n_caps += 1
                 pars = self._wire_parasitics(values)
@@ -464,13 +458,12 @@ class PexSimulator(CircuitSimulator):
                     if mesh > 0:
                         r_seg, c_seg = mesh_segment_values(r_net, c_net, mesh)
                         for k in range(1, mesh + 1):
-                            assign(extracted[f"{PEX_PREFIX}RW_{net}__{k}"],
-                                   "resistance", r_seg)
-                            assign(extracted[f"{cap_prefix}{net}__{k}"],
-                                   "capacitance", c_seg)
+                            wire = extracted[f"{PEX_PREFIX}RW_{net}__{k}"]
+                            wire.resistance = r_seg
+                            cap = extracted[f"{cap_prefix}{net}__{k}"]
+                            cap.capacitance = c_seg
                     else:
-                        assign(extracted[f"{cap_prefix}{net}"],
-                               "capacitance", c_net)
+                        extracted[f"{cap_prefix}{net}"].capacitance = c_net
             except KeyError:
                 return False
             return True

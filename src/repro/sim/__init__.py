@@ -19,7 +19,8 @@ batched solves):
 * :mod:`repro.sim.linear` computes linearised step responses (for settling
   time);
 * :mod:`repro.sim.transient` integrates the full nonlinear equations
-  (single-design and stacked-batch engines);
+  (trapezoidal steps through one damped Newton loop on the system's own
+  engine leg);
 * :mod:`repro.sim.faults` holds the supervision records of batched
   evaluation (per-batch :class:`~repro.sim.faults.BatchReport`,
   quarantine counters);
@@ -56,17 +57,11 @@ from repro.sim.poles import PoleSet, circuit_poles
 from repro.sim.stamp import StampPlan
 from repro.sim.sweep import DcSweepResult, dc_sweep
 from repro.sim.system import MnaSystem, StructureMismatch
-from repro.sim.transient import (
-    BatchTransientResult,
-    TransientResult,
-    transient_analysis,
-    transient_analysis_batch,
-)
+from repro.sim.transient import TransientResult, transient_analysis
 
 __all__ = [
     "ACResult",
     "BatchDcResult",
-    "BatchTransientResult",
     "DcSweepResult",
     "MnaSystem",
     "SPARSE_AUTO_THRESHOLD",
@@ -92,5 +87,4 @@ __all__ = [
     "solve_dc_batch",
     "transfer_function",
     "transient_analysis",
-    "transient_analysis_batch",
 ]

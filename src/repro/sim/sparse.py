@@ -217,10 +217,9 @@ class SparseState:
     def densify(self, data: np.ndarray) -> np.ndarray:
         """Dense ``(..., n, n)`` matrices from ``(..., nnz)`` data rows.
 
-        The bridge for dense-only consumers (stacked measurement, batch
-        transient, the ``G``/``C`` attributes of a sparse system) running
-        against sparse data; cheap at the small sizes where those paths
-        are used.
+        The bridge for dense-only consumers (stacked measurement, the
+        ``G``/``C`` attributes of a sparse system) running against sparse
+        data; cheap at the small sizes where those paths are used.
         """
         out = np.zeros(data.shape[:-1] + (self.n, self.n))
         out[..., self.pat_rows, self.pat_cols] = data

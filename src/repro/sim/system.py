@@ -197,7 +197,8 @@ class MnaSystem:
                         f"mosfet {mosfet.name} references unknown node {node!r}")
         # Pre-resolve terminal indices for the Newton hot loop.  -1 marks
         # ground in _mos_terms (the historical convention, still used by the
-        # transient engine); _terms_pad routes ground to the padding slot.
+        # stacked noise analysis); _terms_pad routes ground to the padding
+        # slot.
         self._mos_terms = np.array(
             [[self.node_index[m.d], self.node_index[m.g],
               self.node_index[m.s], self.node_index[m.b]]
@@ -837,67 +838,71 @@ class MnaSystem:
         self._sp_lu_memo = (op, frequencies, lus)
         return lus
 
-    def capacitance_matrix_at(self, x: np.ndarray) -> np.ndarray:
-        """Capacitance matrix including MOSFET capacitances evaluated at the
-        (large-signal) solution ``x`` — used by the nonlinear transient
-        engine, where device capacitances vary along the trajectory."""
-        if self._dev is None:
-            return self.C.copy()
-        if self.sparse:
-            return self.sparse_state.densify(self.sparse_cap_data(x))
-        size = self.size
-        arrays = self.mosfet_state_arrays(x)
-        n1 = size + 1
-        Cp = np.zeros((n1, n1))
-        Cp[:size, :size] = self._C
-        c4 = np.stack([arrays["cgs"], arrays["cgd"], arrays["cdb"],
-                       arrays["csb"]], axis=-1).reshape(-1)
-        Cp.reshape(-1)[:] += c4 @ self.cap_map
-        return Cp[:size, :size].copy()
+    # -- transient assembly ------------------------------------------------------
+    def conductance(self):
+        """``G`` on the system's own leg: the stamped array itself, or on
+        the sparse leg a CSC matrix over the master pattern that shares
+        the stamped data (never a dense copy, unlike :attr:`G`)."""
+        return self.sparse_state.matrix(self._G) if self.sparse else self._G
 
-    def sparse_cap_data(self, x: np.ndarray) -> np.ndarray:
-        """Master-pattern data of the large-signal capacitance matrix at
-        ``x`` (the sparse transient engine's C-refresh primitive)."""
-        Cd = self._sparse_C_data()
+    def capacitance_at(self, x: np.ndarray):
+        """Capacitance matrix with every MOSFET's capacitances evaluated at
+        the large-signal solution ``x`` (they vary along a transient
+        trajectory), on the system's own leg: a fresh dense array, or a
+        CSC matrix over the master pattern."""
         if self._dev is None:
-            return Cd.copy()
-        arrays = self.mosfet_state_arrays(x)
-        c4 = np.stack([arrays["cgs"], arrays["cgd"], arrays["cdb"],
-                       arrays["csb"]], axis=-1).reshape(-1)
-        return self.sparse_state.cap_data(Cd, c4)
+            C = self._C.copy()
+        else:
+            c4 = self._ss_quantities(self._dev, x)[1]
+            if self.sparse:
+                C = self.sparse_state.cap_data(self._C, c4)
+            else:
+                n, n1 = self.size, self.size + 1
+                Cp = np.zeros((n1, n1))
+                Cp[:n, :n] = self._C
+                Cp.reshape(-1)[:] += c4 @ self.cap_map
+                C = Cp[:n, :n].copy()
+        return self.sparse_state.matrix(C) if self.sparse else C
 
     def nonlinear_current(self, x: np.ndarray) -> np.ndarray:
         """KCL currents injected by the MOSFETs at large-signal ``x``.
 
         One vectorised current-only device evaluation scattered through the
-        residual map — the transient engine's f(x) assembly, shared with
-        the batched engine so both integrate bit-identical trajectories.
+        residual map — the transient engine's f(x) assembly.
         """
         if self._dev is None:
             return np.zeros(self.size)
         V = self._terminal_voltages(x)
         return eval_ids_batch(self._dev, V) @ self._res_map
 
-    def nonlinear_current_and_jacobian(
-            self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(i_nl, J_nl)`` of the stacked MOSFETs at large-signal ``x``.
+    def step_jacobian(self, x: np.ndarray, C, h: float):
+        """``(i_nl, C + h/2 (G + J_nl))`` at large-signal ``x``.
 
-        The Jacobian is assembled with the same dense scatter maps the DC
-        Newton loop uses (ground terminals routed to the sliced-away
-        padding row), replacing the historical per-device Python loop.
+        The MOSFET KCL currents and the Jacobian of an implicit step of
+        size ``h`` (the transient engine's Newton matrix).  ``C`` is a
+        matrix on the system's own leg, such as :meth:`capacitance_at`
+        returns.  The device conductances ``J_nl`` scatter through the
+        same maps the DC Newton loop uses; the Jacobian is a fresh dense
+        array, or a CSC matrix over the master pattern.
         """
-        n = self.size
-        if self._dev is None:
-            return np.zeros(n), np.zeros((n, n))
-        V = self._terminal_voltages(x)
-        i_d, g = eval_companion_batch(self._dev, V)
+        h2 = 0.5 * h
+        i_nl, g = np.zeros(self.size), None
+        if self._dev is not None:
+            i_d, g = eval_companion_batch(self._dev,
+                                          self._terminal_voltages(x))
+            i_nl = i_d @ self._res_map
         if self.sparse:
             st = self.sparse_state
-            Jd = st.newton_data(np.zeros(st.nnz), g)
-            return i_d @ self._res_map, st.densify(Jd)
-        n1 = n + 1
-        Jp = (g.reshape(-1) @ self.newton_g_map).reshape(n1, n1)
-        return i_d @ self._res_map, np.ascontiguousarray(Jp[:n, :n])
+            data = C.data + h2 * self._G
+            if g is not None:
+                data = st.newton_data(data, h2 * g)
+            return i_nl, st.matrix(data)
+        G = self._G
+        if g is not None:
+            n, n1 = self.size, self.size + 1
+            J_nl = (g.reshape(-1) @ self.newton_g_map).reshape(n1, n1)
+            G = G + J_nl[:n, :n]
+        return i_nl, C + h2 * G
 
     def noise_source_list(self, op):
         """All noise current sources ``(i_index, j_index, psd_fn)`` at ``op``."""

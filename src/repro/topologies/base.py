@@ -208,7 +208,9 @@ class Topology(abc.ABC):
         starts cold.  On any convergence trouble the solve is retried
         cold, and if that also fails the pessimistic
         :meth:`failure_measurement` is returned so optimisers always
-        receive a numeric (heavily penalised) result.
+        receive a numeric (heavily penalised) result.  A design measured
+        as that penalty row (a gated design, e.g. a latched ngm-OTA)
+        leaves no warm start either, so the next solve starts cold.
         """
         system = self._plan.restamp(values)
         op = None
@@ -218,17 +220,20 @@ class Topology(abc.ABC):
                 op = solve_dc(system, x0=seed)
             except ConvergenceError:
                 op = None
+        self._warm_x = None
         if op is None:
             try:
                 op = solve_dc(system)
             except ConvergenceError:
-                self._warm_x = None
                 return self.failure_measurement()
-        self._warm_x = op.x.copy()
+        failure = self.failure_measurement()
         try:
-            return self.measure(system, op)
+            specs = self.measure(system, op)
         except MeasurementError:
-            return self.failure_measurement()
+            return failure
+        if specs != failure:
+            self._warm_x = op.x.copy()
+        return specs
 
     def simulate_batch(self, values_list: list[dict[str, float]]
                        ) -> list[dict[str, float]]:

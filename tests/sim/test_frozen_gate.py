@@ -10,6 +10,7 @@ every call, so every restamp and every fill runs the comparison.
 
 from __future__ import annotations
 
+import copy
 import itertools
 
 import numpy as np
@@ -84,10 +85,22 @@ def test_every_linear_class_is_covered():
 
 @pytest.mark.parametrize("element", LINEAR, ids=lambda e: type(e).__name__)
 def test_assigning_a_linear_element_advances_the_counter(element):
+    element = copy.copy(element)
     for name, value in list(vars(element).items()):
         before = elements.linear_writes()
-        setattr(element, name, value)
+        setattr(element, name, value * 2)    # a changed value of its kind
         assert elements.linear_writes() == before + 1, name
+
+
+def test_a_same_value_float_write_leaves_the_counter():
+    resistor = Resistor("R1", "a", "b", 1e3)
+    before = elements.linear_writes()
+    resistor.resistance = 1e3
+    assert elements.linear_writes() == before
+    for value in (np.array([1e3, 2e3]), 1e3, float("nan"), float("nan")):
+        before = elements.linear_writes()
+        resistor.resistance = value
+        assert elements.linear_writes() == before + 1, value
 
 
 def test_assigning_mosfet_sizes_leaves_the_counter():

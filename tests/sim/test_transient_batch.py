@@ -1,123 +1,57 @@
-"""Batched transient engine: waveform equivalence with the scalar engine."""
+"""The transient Newton loop: its iteration cap and its factor reuse.
 
-import numpy as np
+``repro.sim.transient`` runs every solve of a run through one damped
+Newton loop whose settings are module constants.  A device-free netlist
+has a constant step Jacobian, so a run that starts at its DC point
+factors exactly once on either engine leg.
+"""
+
 import pytest
 
-from repro.circuits import Capacitor, Mosfet, Netlist, Resistor, VoltageSource, ptm45
+from repro.circuits import Capacitor, Mosfet, Netlist, VoltageSource, ptm45
 from repro.errors import ConvergenceError
-from repro.sim import (
-    MnaSystem,
-    SystemStack,
-    solve_dc,
-    transient_analysis,
-    transient_analysis_batch,
-)
+from repro.sim import MnaSystem, transient, transient_analysis
 from repro.sim.transient import pulse_waveform, step_waveform
 
 
-def _inverter(wn, wp, tech):
+def _inverter(tech):
     net = Netlist("inv")
     net.add(VoltageSource("VDD", "vdd", "0", dc=tech.vdd))
     net.add(VoltageSource("VIN", "g", "0", dc=0.0))
     net.add(Mosfet("MN", "out", "g", "0", "0", polarity="nmos",
-                   params=tech.nmos, w=wn, l=0.2e-6))
+                   params=tech.nmos, w=2e-6, l=0.2e-6))
     net.add(Mosfet("MP", "out", "g", "vdd", "vdd", polarity="pmos",
-                   params=tech.pmos, w=wp, l=0.2e-6))
+                   params=tech.pmos, w=4e-6, l=0.2e-6))
     net.add(Capacitor("CL", "out", "0", 10e-15))
     return net
 
 
-@pytest.fixture(scope="module")
-def inverter_stack():
-    tech = ptm45()
-    widths = [(2e-6, 4e-6), (1e-6, 3e-6), (4e-6, 5e-6), (3e-6, 2e-6)]
-    systems = [MnaSystem(_inverter(wn, wp, tech)) for wn, wp in widths]
-    stack = SystemStack(systems[0], len(systems))
-    for i, system in enumerate(systems):
-        stack.set_design(i, system)
-    wave = {"VIN": pulse_waveform(0.0, tech.vdd, delay=0.2e-9,
-                                  rise=50e-12, width=2e-9)}
-    return systems, stack, wave
-
-
-class TestWaveformEquivalence:
-    def test_matches_scalar_engine_to_1e9(self, inverter_stack):
-        """Started from identical states, the batched trajectories must
-        match the scalar engine to 1e-9 (they run the same per-step
-        update; the measured difference is accumulated rounding)."""
-        systems, stack, wave = inverter_stack
-        x0 = np.stack([solve_dc(s).x for s in systems])
-        batch = transient_analysis_batch(stack, t_stop=4e-9, dt=4e-12,
-                                         waveforms=wave, x0=x0.copy())
-        assert batch.converged.all()
-        for i, system in enumerate(systems):
-            scalar = transient_analysis(system, t_stop=4e-9, dt=4e-12,
-                                        waveforms=wave, x0=x0[i])
-            np.testing.assert_allclose(batch.solutions[i], scalar.solutions,
-                                       rtol=0, atol=1e-9)
-            np.testing.assert_array_equal(batch.time, scalar.time)
-
-    def test_dc_start_matches_scalar_within_solver_tolerance(
-            self, inverter_stack):
-        """With x0 omitted both engines start from their own DC solve;
-        those agree to the residual gate, not bitwise."""
-        systems, stack, wave = inverter_stack
-        batch = transient_analysis_batch(stack, t_stop=1e-9, dt=4e-12,
-                                         waveforms=wave)
-        assert batch.converged.all()
-        for i, system in enumerate(systems):
-            scalar = transient_analysis(system, t_stop=1e-9, dt=4e-12,
-                                        waveforms=wave)
-            np.testing.assert_allclose(batch.solutions[i], scalar.solutions,
-                                       rtol=0, atol=1e-5)
-
-    def test_voltage_and_branch_current_views(self, inverter_stack):
-        systems, stack, wave = inverter_stack
-        batch = transient_analysis_batch(stack, t_stop=0.5e-9, dt=5e-12,
-                                         waveforms=wave)
-        out = batch.voltage("out")
-        assert out.shape == (len(systems), len(batch.time))
-        ivdd = batch.branch_current("VDD")
-        assert ivdd.shape == out.shape
-
-
-class TestLinearBatch:
-    def test_rc_matches_analytic(self):
-        nets = []
-        for r in (1e3, 2e3):
-            net = Netlist("rc")
-            net.add(VoltageSource("V1", "in", "0", dc=0.0))
-            net.add(Resistor("R1", "in", "out", r))
-            net.add(Capacitor("C1", "out", "0", 1e-9))
-            nets.append(net)
-        systems = [MnaSystem(n) for n in nets]
-        stack = SystemStack(systems[0], 2)
-        for i, s in enumerate(systems):
-            stack.set_design(i, s)
-        result = transient_analysis_batch(
-            stack, t_stop=5e-6, dt=5e-9,
-            waveforms={"V1": step_waveform(0.0, 1.0, t_step=1e-7)})
-        assert result.converged.all()
-        shifted = result.time - 1e-7
-        for i, r in enumerate((1e3, 2e3)):
-            tau = r * 1e-9
-            expected = np.where(shifted >= 0.0,
-                                1.0 - np.exp(-shifted / tau), 0.0)
-            assert np.allclose(result.voltage("out")[i], expected, atol=5e-3)
-
-
 class TestFailureMasking:
-    def test_newton_exhaustion_is_masked_not_raised(self, inverter_stack):
-        systems, stack, wave = inverter_stack
-        result = transient_analysis_batch(stack, t_stop=0.5e-9, dt=5e-12,
-                                          waveforms=wave, max_newton=0)
-        assert not result.converged.any()
-        assert np.isnan(result.solutions[:, 1:]).all()
-
-    def test_scalar_engine_raises_with_finite_report(self, inverter_stack):
-        """The scalar engine's non-convergence path must not reference an
-        unbound loop variable when max_newton forbids any iteration."""
-        systems, _, wave = inverter_stack
+    def test_scalar_engine_raises_with_finite_report(self, monkeypatch):
+        """The non-convergence path must not reference an unbound loop
+        variable when the iteration cap forbids any iteration."""
+        tech = ptm45()
+        wave = {"VIN": pulse_waveform(0.0, tech.vdd, delay=0.2e-9,
+                                      rise=50e-12, width=2e-9)}
+        monkeypatch.setattr(transient, "_MAX_ITER", 0)
         with pytest.raises(ConvergenceError):
-            transient_analysis(systems[0], t_stop=0.5e-9, dt=5e-12,
-                               waveforms=wave, max_newton=0)
+            transient_analysis(MnaSystem(_inverter(tech)), t_stop=0.5e-9,
+                               dt=5e-12, waveforms=wave)
+
+
+@pytest.mark.parametrize("engine", ["dense", "sparse"])
+def test_device_free_netlist_factors_once(engine, rc_netlist, monkeypatch):
+    factors = []
+
+    def counted(A):
+        factors.append(A)
+        return lu_factor(A)
+
+    lu_factor = transient._lu_factor
+    monkeypatch.setattr(transient, "_lu_factor", counted)
+    system = MnaSystem(rc_netlist, engine=engine)
+    result = transient_analysis(
+        system, t_stop=5e-6, dt=5e-9,
+        waveforms={"V1": step_waveform(0.0, 1.0, t_step=1e-7)})
+    assert len(result.time) > 1000
+    assert len(factors) == 1

@@ -22,10 +22,11 @@ import repro
 #: hot modules: the netlist elements and container with the frozen-stamp
 #: and DC-edge contracts, the device model, MNA assembly, the DC
 #: continuation ladder and the batched Newton loop with their bitwise
-#: contracts, the column-wise stack fill, process plumbing, the sparse
-#: backend and the engine selection that routes to it, the
-#: measurement pipeline every topology's specs now flow through, and the
-#: PEX corner stack with its per-corner trajectory seeds).
+#: contracts, the transient step loop, the column-wise stack fill,
+#: process plumbing, the sparse backend and the engine selection that
+#: routes to it, the measurement pipeline every topology's specs now flow
+#: through, and the PEX corner stack with its per-corner trajectory
+#: seeds).
 STRICT_MODULES = (
     "repro.circuits.elements",
     "repro.circuits.mosfet",
@@ -39,6 +40,7 @@ STRICT_MODULES = (
     "repro.sim.sparse",
     "repro.sim.stamp",
     "repro.sim.system",
+    "repro.sim.transient",
     "repro.rl.parallel",
     "repro.rl.nn",
     "repro.rl.distributions",

@@ -19,7 +19,8 @@ from repro.pex.extraction import PexSimulator
 from repro.sim.batch import solve_dc_batch
 from repro.sim.dc import solve_dc
 from repro.sim.stamp import StampPlan
-from repro.topologies import FiveTransistorOta, SchematicSimulator
+from repro.sim.system import MnaSystem
+from repro.topologies import FiveTransistorOta, NegGmOta, SchematicSimulator
 
 
 def _rel_close(a, b, tol=1e-9):
@@ -153,6 +154,23 @@ class TestWarmStartReset:
         assert all(t._warm_x is not None for t in pex._topologies)
         pex.reset_warm_start()
         assert all(t._warm_x is None for t in pex._topologies)
+
+    def test_gated_design_leaves_no_warm_start(self):
+        """A latched ngm-OTA converges and is charged the penalty row by
+        the first-stage stability gate; its operating point must not seed
+        the next step, which then equals a fresh topology's solve."""
+        topology = NegGmOta()
+        space = topology.parameter_space
+        latched = space.values(np.array([47, 24, 26, 49, 25, 9, 25]))
+        step = space.values(np.array([47, 25, 26, 49, 25, 9, 25]))
+        # The DC solve converges: the design is gated, not failed.
+        op = solve_dc(MnaSystem(topology.build(latched)))
+        assert op.residual_norm < 1e-9
+        assert topology.simulate(latched) == topology.failure_measurement()
+        assert topology._warm_x is None
+        specs = topology.simulate(step)
+        assert specs != topology.failure_measurement()
+        assert specs == NegGmOta().simulate(step)
 
 
 class TestBatchSeedMemo:
